@@ -15,19 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Rng, Tensor, dropout, masked_softmax, matmul, mul, slice_axis, softmax
+from .tensor import NonFiniteError, Rng, Tensor, dropout, matmul, mul, slice_axis, softmax
 
 ADAPTED_TAGS = ("q", "k", "v", "o", "gate", "down", "up")
 
 ROUTER_INIT_STD = 0.02
 EXPERT_INIT_STD = 0.02
-
-# Router weight modes. Both compute softmax restricted to the selected experts;
-# "renorm" renormalizes the full softmax, "subset" masks logits before the
-# softmax. The two agree to rounding error but build different graphs.
-ROUTER_MODES = ("renorm", "subset")
-
-_NEG_INF = -1e30
 
 
 @dataclass
@@ -143,18 +136,14 @@ class Router:
     """
 
     def __init__(self, in_dim: int, num_experts: int, k: int, *, layer_index: int = 0,
-                 tag: str = "q", rng: Rng | None = None, mode: str = "renorm",
-                 dtype=np.float64):
+                 tag: str = "q", rng: Rng | None = None, dtype=np.float64):
         if k < 1 or k > num_experts:
             raise ValueError(f"top-K must satisfy 1 <= K <= {num_experts}, got K={k}")
-        if mode not in ROUTER_MODES:
-            raise ValueError(f"unknown router mode {mode!r}; expected one of {ROUTER_MODES}")
         self.in_dim = in_dim
         self.num_experts = num_experts
         self.k = k
         self.layer_index = layer_index
         self.tag = tag
-        self.mode = mode
         init = rng.normal((in_dim, num_experts), std=ROUTER_INIT_STD, dtype=dtype) \
             if rng is not None else np.zeros((in_dim, num_experts), dtype=dtype)
         self.weight = Tensor(init, requires_grad=True)
@@ -164,19 +153,16 @@ class Router:
         logits = matmul(x, self.weight)                     # (tokens, N)
         try:
             probs = softmax(logits, axis=-1)
-        except ValueError as err:
-            raise ValueError(
+        except NonFiniteError as err:
+            raise NonFiniteError(
                 f"router (layer {self.layer_index}, {self.tag}): {err}") from err
         # Stable argsort on -p: ties resolve to the lower expert index.
         order = np.argsort(-probs.data, axis=-1, kind="stable")
         selected = np.sort(order[:, : self.k], axis=-1)
         mask = np.zeros(probs.shape, dtype=probs.dtype)
         np.put_along_axis(mask, selected, 1.0, axis=-1)
-        if self.mode == "renorm":
-            kept = mul(probs, Tensor(mask))
-            fusion = kept * kept.sum(axis=-1, keepdims=True).pow(-1.0)
-        else:
-            fusion = masked_softmax(logits, (1.0 - mask) * _NEG_INF, axis=-1)
+        kept = mul(probs, Tensor(mask))
+        fusion = kept * kept.sum(axis=-1, keepdims=True).pow(-1.0)
         return GateBatch(fusion=fusion, probs=probs, selected=selected)
 
     def route(self, x) -> RoutingOutcome:

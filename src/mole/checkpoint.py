@@ -1,10 +1,10 @@
 """Binary checkpoint format with a bit-exact parameter round trip.
 
 Layout: an 8-byte magic, a little-endian u32 format version, a little-endian
-u64 header length, a JSON header (config echo, seed, step, parameter names and
-shapes in order), then the raw parameter blobs as little-endian 64-bit floats
-in header order. Failure modes are distinct exception types so callers can
-tell a corrupt header from a truncated blob from a shape mismatch.
+u64 header length, a JSON header (config echo with the seed, step, parameter
+names and shapes in order), then the raw parameter blobs as little-endian
+64-bit floats in header order. Failure modes are distinct exception types so
+callers can tell a corrupt header from a truncated blob from a shape mismatch.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .model import AdaptedModel, ToyTransformerConfig
 
 MAGIC = b"MOLECKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -46,7 +46,6 @@ def save(model: AdaptedModel, path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
-        "seed": model.config.seed,
         "step": model.step,
         "params": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
     }

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +38,16 @@ from .tasks import (
 )
 from .tensor import Rng
 
+# Every model field except the two the CLI derives itself (allocation from
+# alloc and k, seed from the mandatory --seed), with the dataclass's defaults.
+_MODEL_DEFAULTS = {f.name: f.default for f in fields(ToyTransformerConfig)
+                   if f.name not in ("allocation", "seed")}
+
 TRAIN_DEFAULTS = {
     "dataset": "copy", "data_size": 200, "alloc": "counts=2,2,2,2", "k": 2,
     "steps": 500, "epochs": None, "batch_size": 25, "lr": 3e-3, "lr_decay": 0.9,
-    "lambda_aux": 0.01, "dropout": 0.05, "target_acc": None, "metrics_every": 25,
-    "num_layers": 4, "d_model": 64, "d_ffn": 172, "num_heads": 4,
-    "vocab_size": 256, "max_seq_len": 64, "cutoff_len": 64, "rank": 8,
-    "alpha": 16.0, "weight_decay": 0.01, "precision": "f64",
-    "router_mode": "renorm",
+    "weight_decay": 0.01, "cutoff_len": 64, "target_acc": None, "metrics_every": 25,
+    **_MODEL_DEFAULTS,
 }
 
 CONTINUAL_DEFAULTS = dict(TRAIN_DEFAULTS, domains=5, domain_size=150,
@@ -129,17 +132,8 @@ def _run_dir(resolved: dict) -> Path:
 def _model_config(resolved: dict) -> ToyTransformerConfig:
     allocation = parse_alloc_spec(resolved["alloc"], resolved["num_layers"],
                                   k=resolved["k"])
-    return ToyTransformerConfig(
-        num_layers=resolved["num_layers"], d_model=resolved["d_model"],
-        d_ffn=resolved["d_ffn"], num_heads=resolved["num_heads"],
-        vocab_size=resolved["vocab_size"], max_seq_len=resolved["max_seq_len"],
-        allocation=allocation, rank=resolved["rank"], alpha=resolved["alpha"],
-        dropout=resolved["dropout"], lambda_aux=resolved["lambda_aux"],
-        seed=resolved["seed"], router_mode=resolved["router_mode"],
-        precision=resolved["precision"], lr=resolved["lr"],
-        weight_decay=resolved["weight_decay"], batch_size=resolved["batch_size"],
-        cutoff_len=resolved["cutoff_len"],
-    )
+    return ToyTransformerConfig(allocation=allocation, seed=resolved["seed"],
+                                **{key: resolved[key] for key in _MODEL_DEFAULTS})
 
 
 def _truncate(examples, cutoff: int):

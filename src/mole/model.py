@@ -10,7 +10,7 @@ expert factors and router weights. Blocks are pre-layer-norm with learned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .adapters import (
     balance_loss_tensor,
 )
 from .allocation import AllocationPlan, ModelDims, validate
-from .tensor import Rng, Tensor, cross_entropy, matmul, rows_at, silu, softmax, take_rows
+from .tensor import (NonFiniteError, Rng, Tensor, cross_entropy, matmul, rows_at, silu,
+                     softmax, take_rows)
 
 LN_EPS = 1e-5
 _NEG_INF = -1e30
@@ -37,7 +38,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class ToyTransformerConfig:
-    """Everything needed to build and train the toy model, seed included."""
+    """Everything needed to build the toy model, seed included."""
 
     num_layers: int = 4
     d_model: int = 64
@@ -51,14 +52,7 @@ class ToyTransformerConfig:
     dropout: float = 0.05
     lambda_aux: float = 0.01
     seed: int = 0
-    router_mode: str = "renorm"
     precision: str = "f64"
-    # optimizer / harness keys
-    lr: float = 3e-4
-    weight_decay: float = 0.01
-    batch_size: int = 16
-    epochs: int = 3
-    cutoff_len: int = 64
 
     def __post_init__(self):
         if self.allocation is None:
@@ -80,18 +74,9 @@ class ToyTransformerConfig:
         return PRECISIONS[self.precision]
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers, "d_model": self.d_model, "d_ffn": self.d_ffn,
-            "num_heads": self.num_heads, "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "allocation": {"counts": list(self.allocation.counts), "k": self.allocation.k},
-            "rank": self.rank, "alpha": self.alpha, "dropout": self.dropout,
-            "lambda_aux": self.lambda_aux, "seed": self.seed,
-            "router_mode": self.router_mode, "precision": self.precision,
-            "lr": self.lr, "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size, "epochs": self.epochs,
-            "cutoff_len": self.cutoff_len,
-        }
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        raw["allocation"] = {"counts": list(self.allocation.counts), "k": self.allocation.k}
+        return raw
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ToyTransformerConfig":
@@ -143,8 +128,7 @@ class Block:
                                   rng=rng.child("expert", tag, i), dtype=dtype)
                        for i in range(n)]
             router = Router(in_dim, n, k, layer_index=layer_index, tag=tag,
-                            rng=rng.child("router", tag), mode=config.router_mode,
-                            dtype=dtype)
+                            rng=rng.child("router", tag), dtype=dtype)
             self.adapted[tag] = AdaptedLinear(w0, experts, router)
 
     def _apply(self, tag: str, x: Tensor, train: bool, rng: Rng | None,
@@ -172,8 +156,8 @@ class Block:
         scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
         try:
             attn = softmax(scores + Tensor(mask), axis=-1)
-        except ValueError as err:
-            raise ValueError(f"attention (layer {self.layer_index}): {err}") from err
+        except NonFiniteError as err:
+            raise NonFiniteError(f"attention (layer {self.layer_index}): {err}") from err
         ctx = matmul(attn, vh).transpose(0, 2, 1, 3).reshape(batch * seq, d)
         o = self._apply("o", ctx, train, rng, adapters_on, gates)
         x = x + o.reshape(batch, seq, d)
@@ -236,10 +220,6 @@ class AdaptedModel:
     def trainable_param_total(self) -> int:
         return sum(p.size for p in self.trainable_parameters().values())
 
-    def zero_grad(self) -> None:
-        for p in self.trainable_parameters().values():
-            p.zero_grad()
-
     # -- forward -----------------------------------------------------------
 
     def _check_tokens(self, token_ids) -> tuple[np.ndarray, bool]:
@@ -291,10 +271,6 @@ class AdaptedModel:
     def base_forward(self, token_ids) -> Tensor:
         """Logits of the frozen base alone, adapters bypassed."""
         return self.forward(token_ids, adapters_on=False).logits
-
-
-def build(config: ToyTransformerConfig) -> AdaptedModel:
-    return AdaptedModel.build(config)
 
 
 # -- training ----------------------------------------------------------------
@@ -367,10 +343,8 @@ def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
     step_rng = rng.child("step", model.step)
     try:
         result = model.forward(ids, train_mode=True, rng=step_rng)
-    except ValueError as err:
-        if "non-finite" in str(err):
-            raise TrainingDiverged(f"non-finite values at step {model.step}: {err}") from err
-        raise
+    except NonFiniteError as err:
+        raise TrainingDiverged(f"non-finite values at step {model.step}: {err}") from err
     answer_logits = rows_at(result.logits, positions)
     ce = cross_entropy(answer_logits, labels)
     total = ce + result.aux_loss * model.config.lambda_aux

@@ -19,6 +19,10 @@ import numpy as np
 FLOAT_DTYPES = (np.float32, np.float64)
 
 
+class NonFiniteError(ValueError):
+    """An op met NaN or infinite input where it needs finite values."""
+
+
 def _as_array(data, dtype=None) -> np.ndarray:
     arr = np.asarray(data, dtype=dtype)
     if arr.dtype not in FLOAT_DTYPES:
@@ -91,9 +95,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def backward(self) -> None:
         """Backpropagate from a scalar root through the recorded graph."""
@@ -393,7 +394,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis`; rejects non-finite input."""
     if not np.isfinite(a.data).all():
         bad = a.data[~np.isfinite(a.data)]
-        raise ValueError(f"softmax input contains non-finite entries (first: {bad.flat[0]!r})")
+        raise NonFiniteError(
+            f"softmax input contains non-finite entries (first: {bad.flat[0]!r})")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
@@ -402,21 +404,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         if a.requires_grad:
             inner = (grad * out_data).sum(axis=axis, keepdims=True)
             a._accumulate((grad - inner) * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
-def masked_softmax(a: Tensor, additive_mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax of `a + additive_mask`; the mask is a constant (0 or large-negative)."""
-    shifted_in = a.data + additive_mask
-    shifted = shifted_in - shifted_in.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(grad):
-        if a.requires_grad:
-            inner = (grad * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(_unbroadcast((grad - inner) * out_data, a.shape))
 
     return _make(out_data, (a,), backward)
 
@@ -503,9 +490,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def shuffle(self, items: list) -> None:
-        self._gen.shuffle(items)
 
 
 # -- gradient checking -------------------------------------------------------

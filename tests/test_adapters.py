@@ -36,8 +36,8 @@ def softmax_np(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def make_router(num_experts, k, seed=0, mode="renorm", in_dim=4):
-    return Router(in_dim, num_experts, k, rng=Rng(seed).child("router"), mode=mode)
+def make_router(num_experts, k, seed=0, in_dim=4):
+    return Router(in_dim, num_experts, k, rng=Rng(seed).child("router"))
 
 
 class TestRoute:
@@ -80,24 +80,20 @@ class TestRoute:
             router.route([float("nan"), 0.0, 0.0, 0.0])
 
     def test_matches_brute_force_oracle(self):
-        # all N <= 4, K <= 2 over randomized logits, renorm and subset modes
+        # all N <= 4, K <= 2 over randomized logits
         rng = Rng(123)
         trials = 0
         for n in (2, 3, 4):
             for k in (1, 2):
-                router_r = make_router(n, k, seed=n * 10 + k, in_dim=3, mode="renorm")
-                router_s = make_router(n, k, seed=n * 10 + k, in_dim=3, mode="subset")
+                router = make_router(n, k, seed=n * 10 + k, in_dim=3)
                 for _ in range(1000 // 6 + 1):
                     x = rng.normal((3,), std=2.0)
-                    outcome = router_r.route(x)
-                    probs = softmax_np(x @ router_r.weight.data)
+                    outcome = router.route(x)
+                    probs = softmax_np(x @ router.weight.data)
                     idx, weights = brute_force_top_k(probs, k)
                     assert outcome.selected == idx
                     np.testing.assert_allclose(outcome.weights, weights, atol=1e-12)
                     np.testing.assert_allclose(outcome.full_softmax, probs, atol=1e-12)
-                    sub = router_s.route(x)
-                    assert sub.selected == idx
-                    np.testing.assert_allclose(sub.weights, outcome.weights, atol=1e-12)
                     trials += 1
         assert trials >= 1000
 
@@ -149,12 +145,12 @@ class TestExpertDelta:
 
 
 def make_layer(in_dim, out_dim, num_experts, k, rank=2, seed=0, dropout_rate=0.0,
-               alpha=4.0, mode="renorm"):
+               alpha=4.0):
     rng = Rng(seed)
     w0 = rng.child("w0").normal((out_dim, in_dim))
     experts = [LoraExpert(in_dim, out_dim, rank, alpha=alpha, dropout_rate=dropout_rate,
                           rng=rng.child("expert", i)) for i in range(num_experts)]
-    router = Router(in_dim, num_experts, k, rng=rng.child("router"), mode=mode)
+    router = Router(in_dim, num_experts, k, rng=rng.child("router"))
     return AdaptedLinear(w0, experts, router)
 
 
@@ -199,16 +195,6 @@ class TestAdaptedLinear:
                 expected = expected + w * e.scaling * (e.out_factor.data @ (e.in_factor.data @ x))
             assert outcome.selected == idx
             np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_renorm_and_subset_modes_agree(self):
-        a = make_layer(4, 3, num_experts=4, k=2, seed=31, mode="renorm")
-        b = make_layer(4, 3, num_experts=4, k=2, seed=31, mode="subset")
-        randomize_adapters(a, 32)
-        randomize_adapters(b, 32)
-        x = Rng(33).normal((4,))
-        out_a, _ = adapted_forward(a, x)
-        out_b, _ = adapted_forward(b, x)
-        np.testing.assert_allclose(out_a, out_b, atol=1e-12)
 
     def test_gradients_reach_only_selected_experts(self):
         layer = make_layer(4, 4, num_experts=3, k=1, seed=41)

@@ -93,11 +93,13 @@ class TestCorruption:
         with pytest.raises(CorruptHeaderError, match="magic"):
             load(path)
 
-    def test_version_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("version", [FORMAT_VERSION - 1, FORMAT_VERSION + 1],
+                             ids=["older", "newer"])
+    def test_version_mismatch(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save(trained_model(steps=1), path)
         raw = bytearray(path.read_bytes())
-        raw[len(MAGIC)] = FORMAT_VERSION + 1
+        raw[len(MAGIC)] = version
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatchError, match="version"):
             load(path)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from golden_tables import DOMAINS, matrix_rows
+from mole.allocation import parse_alloc_spec
 from mole.analysis import AccuracyMatrix
 from mole.checkpoint import load
 from mole.cli import main
-from mole.model import AdaptedModel
+from mole.model import AdaptedModel, ToyTransformerConfig
 from mole.tensor import Rng
 
 
@@ -104,11 +105,23 @@ class TestTrain:
                        "--out", str(tmp_path / "runs")) == 0
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("flux_capacitor = 1\nseed = 3\n")
-        assert run_cli("train", "--config", str(cfg),
-                       "--out", str(tmp_path / "runs")) == 1
-        assert "flux_capacitor" in capsys.readouterr().err
+        # a removed key (router_mode) must fail loudly, not be silently ignored
+        for key, value in (("flux_capacitor", "1"), ("router_mode", "subset")):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {value}\nseed = 3\n")
+            assert run_cli("train", "--config", str(cfg),
+                           "--out", str(tmp_path / "runs")) == 1
+            assert key in capsys.readouterr().err
+
+    def test_model_config_defaults_come_from_the_dataclass(self, tmp_path):
+        # no model flags: every model field must keep its ToyTransformerConfig default
+        assert run_cli("train", "--dataset", "modular_add", "--data-size", "49",
+                       "--alloc", "counts=1,1,3,3", "--k", "1", "--steps", "0",
+                       "--seed", "11", "--out", str(tmp_path / "runs")) == 0
+        run_dir = next((tmp_path / "runs").iterdir())
+        allocation = parse_alloc_spec("counts=1,1,3,3", ToyTransformerConfig().num_layers, k=1)
+        assert load(run_dir / "model.ckpt").config == ToyTransformerConfig(
+            allocation=allocation, seed=11)
 
     def test_jsonl_dataset(self, tmp_path):
         data = tmp_path / "data.jsonl"

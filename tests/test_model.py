@@ -1,8 +1,10 @@
 """Model tests: determinism, zero-init identity, a loop-oracle forward,
 training behavior, and the frozen-base contract."""
 
+import dataclasses
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -126,6 +128,17 @@ class TestBuild:
     def test_invalid_allocation_rejected(self):
         with pytest.raises(ValueError, match="layer 0"):
             tiny_config(allocation=AllocationPlan((1, 2), k=2))
+
+    def test_config_dict_round_trip_covers_every_field(self):
+        changed = ToyTransformerConfig(
+            num_layers=3, d_model=24, d_ffn=40, num_heads=3, vocab_size=128,
+            max_seq_len=32, allocation=AllocationPlan((1, 2, 3), k=1), rank=4,
+            alpha=8.0, dropout=0.1, lambda_aux=0.02, seed=9, precision="f32")
+        default = ToyTransformerConfig()
+        for f in dataclasses.fields(ToyTransformerConfig):
+            assert getattr(changed, f.name) != getattr(default, f.name), f.name
+        stored = json.loads(json.dumps(changed.to_dict()))  # as a checkpoint header keeps it
+        assert ToyTransformerConfig.from_dict(stored) == changed
 
     def test_trainable_set_matches_accounting(self):
         cfg = tiny_config(allocation=AllocationPlan((2, 3), k=2))
@@ -319,15 +332,6 @@ class TestEvaluate:
             train_step(model, task.train[(step * 8) % 56:][:8] or task.train[:8],
                        opt, rng)
         assert evaluate(model, domains[1].all_examples) < 0.35
-
-    def test_router_modes_agree_at_model_level(self):
-        ids = [7, 3, 11, 30]
-        logits = {}
-        for mode in ("renorm", "subset"):
-            model = AdaptedModel.build(tiny_config(router_mode=mode, seed=54))
-            randomize_adapters(model, 55)
-            logits[mode] = model.forward(ids).logits.data
-        np.testing.assert_allclose(logits["renorm"], logits["subset"], atol=1e-10)
 
     def test_trained_eval_reproducible(self):
         def trained_accuracy():
