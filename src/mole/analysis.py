@@ -20,11 +20,9 @@ from itertools import combinations
 import numpy as np
 
 from .adapters import ADAPTED_TAGS, AdaptedLinear
-from .model import AdaptedModel
+from .model import AdaptedModel, length_batches
 
 ATTENTION_TAGS = ("q", "k", "v", "o")
-
-REDUNDANCY_COMPARANDS = ("product", "factors")
 
 
 # -- accuracy matrix and continual-learning metrics ---------------------------
@@ -146,36 +144,22 @@ class LayerRedundancy:
     per_matrix: dict[str, float | None] = field(default_factory=dict)
 
 
-def _pair_distance(a: AdaptedLinear, i: int, j: int, comparand: str) -> float:
-    if comparand == "product":
-        diff = a.experts[i].effective_delta() - a.experts[j].effective_delta()
-        return float(np.linalg.norm(diff))
-    first, second = a.experts[i], a.experts[j]
-    return float(np.sqrt(
-        np.linalg.norm(first.out_factor.data - second.out_factor.data) ** 2
-        + np.linalg.norm(first.in_factor.data - second.in_factor.data) ** 2))
-
-
-def mean_pairwise_distance(layer: AdaptedLinear, comparand: str = "product") -> float | None:
+def mean_pairwise_distance(layer: AdaptedLinear) -> float | None:
     """Mean Frobenius distance over unordered expert pairs; None below 2 experts."""
-    if comparand not in REDUNDANCY_COMPARANDS:
-        raise ValueError(f"comparand must be one of {REDUNDANCY_COMPARANDS}")
-    n = len(layer.experts)
-    if n < 2:
+    if len(layer.experts) < 2:
         return None
-    pairs = list(combinations(range(n), 2))
-    return sum(_pair_distance(layer, i, j, comparand) for i, j in pairs) / len(pairs)
+    pairs = list(combinations([e.effective_delta() for e in layer.experts], 2))
+    return sum(float(np.linalg.norm(a - b)) for a, b in pairs) / len(pairs)
 
 
-def redundancy(model: AdaptedModel, layer_index: int,
-               comparand: str = "product") -> LayerRedundancy:
+def redundancy(model: AdaptedModel, layer_index: int) -> LayerRedundancy:
     """Expert-similarity measurement for one layer.
 
     The headline value averages the q, k, v, o matrices; layers with fewer
     than two experts yield an "insufficient experts" result (value None).
     """
     block = model.blocks[layer_index]
-    per_matrix = {tag: mean_pairwise_distance(block.adapted[tag], comparand)
+    per_matrix = {tag: mean_pairwise_distance(block.adapted[tag])
                   for tag in ADAPTED_TAGS}
     attention = [per_matrix[tag] for tag in ATTENTION_TAGS]
     value = None if any(v is None for v in attention) else float(np.mean(attention))
@@ -184,8 +168,8 @@ def redundancy(model: AdaptedModel, layer_index: int,
                            value=value, per_matrix=per_matrix)
 
 
-def redundancy_report(model: AdaptedModel, comparand: str = "product") -> list[LayerRedundancy]:
-    return [redundancy(model, j, comparand) for j in range(model.config.num_layers)]
+def redundancy_report(model: AdaptedModel) -> list[LayerRedundancy]:
+    return [redundancy(model, j) for j in range(model.config.num_layers)]
 
 
 # -- router utilization --------------------------------------------------------
@@ -220,11 +204,7 @@ def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
             usage[(j, tag)] = RouterUsage(layer=j, tag=tag, tokens=0,
                                           selection_counts=[0] * n,
                                           weight_sums=[0.0] * n)
-    by_length: dict[int, list] = {}
-    for ex in examples:
-        by_length.setdefault(len(ex.prompt), []).append(ex)
-    for _, group in sorted(by_length.items()):
-        ids = np.array([ex.prompt for ex in group], dtype=np.intp)
+    for _, ids in length_batches(examples):
         result = model.forward(ids)
         for (j, tag), gate in result.gates.items():
             entry = usage[(j, tag)]
@@ -244,8 +224,7 @@ def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
 
 
 def build_report(model: AdaptedModel | None = None, examples=None,
-                 matrix: AccuracyMatrix | None = None,
-                 comparand: str = "product") -> dict:
+                 matrix: AccuracyMatrix | None = None) -> dict:
     """Assemble the analysis sections that apply to the given inputs."""
     report: dict = {}
     if model is not None:
@@ -253,7 +232,7 @@ def build_report(model: AdaptedModel | None = None, examples=None,
         report["redundancy"] = [
             {"layer": r.layer, "num_experts": r.num_experts, "value": r.value,
              "per_matrix": r.per_matrix}
-            for r in redundancy_report(model, comparand)]
+            for r in redundancy_report(model)]
         if examples is not None:
             report["router_stats"] = [
                 {"layer": u.layer, "tag": u.tag, "tokens": u.tokens,

@@ -1,23 +1,29 @@
-"""Binary checkpoint format with a bit-exact parameter round trip.
+"""Binary checkpoint format: the trained adapters and routers, bit-exact.
 
-Layout: an 8-byte magic, a little-endian u32 format version, a little-endian
-u64 header length, a JSON header (config echo with the seed, step, parameter
-names and shapes in order), then the raw parameter blobs as little-endian
-64-bit floats in header order. Failure modes are distinct exception types so
-callers can tell a corrupt header from a truncated blob from a shape mismatch.
+The frozen base regenerates from the config's seed, so only the trainable
+parameters (router weights and expert factors) are stored. Layout: an 8-byte
+magic, a little-endian u32 format version, a little-endian u64 header length,
+a JSON header (config echo with the seed, step, SHA-256 of the regenerated
+base, trainable parameter names and shapes in order), then the raw trainable
+blobs as little-endian 64-bit floats in header order. Failure modes are
+distinct exception types so callers can tell a corrupt header from a truncated
+blob from a shape mismatch from a base that no longer regenerates.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from .model import AdaptedModel, ToyTransformerConfig
 
 MAGIC = b"MOLECKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(Exception):
@@ -40,23 +46,49 @@ class ShapeMismatchError(CheckpointError):
     pass
 
 
+class BaseMismatchError(CheckpointError):
+    """The seed no longer regenerates the frozen base the checkpoint was trained on."""
+
+
+def _base_sha256(model: AdaptedModel) -> str:
+    """SHA-256 over each frozen parameter's name and little-endian f64 bytes."""
+    digest = hashlib.sha256()
+    for name, p in model.named_parameters().items():
+        if not p.requires_grad:
+            digest.update(name.encode("utf-8"))
+            digest.update(np.ascontiguousarray(p.data, dtype="<f8"))
+    return digest.hexdigest()
+
+
 def save(model: AdaptedModel, path) -> None:
-    """Write the model (all parameters, frozen included) to `path`."""
-    params = model.named_parameters()
+    """Write the trainable parameters and the base digest to `path`.
+
+    The file is written beside `path` and then renamed over it, so a save
+    that fails part-way leaves any earlier checkpoint untouched.
+    """
+    params = model.trainable_parameters()
     header = {
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
         "step": model.step,
+        "base_sha256": _base_sha256(model),
         "params": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for p in params.values():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for p in params.values():
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -69,8 +101,10 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
     """Rebuild a model from `path`; every parameter is restored bit-exactly.
 
-    When `config` is given it must agree with the stored parameter shapes;
-    otherwise the model is built from the config echoed in the header.
+    The frozen base is regenerated from the config's seed and must match the
+    stored digest. When `config` is given it must agree with the stored
+    parameter shapes; otherwise the model is built from the config echoed in
+    the header.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -89,6 +123,7 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
             entries = header["params"]
             stored_config = header["config"]
             step = header["step"]
+            base_sha256 = header["base_sha256"]
         except KeyError as err:
             raise CorruptHeaderError(f"header missing field {err.args[0]!r}") from err
         if config is None:
@@ -97,10 +132,11 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
             except (TypeError, ValueError, KeyError) as err:
                 raise CorruptHeaderError(f"invalid stored config: {err}") from err
         model = AdaptedModel.build(config)
-        params = model.named_parameters()
+        params = model.trainable_parameters()
         if [e["name"] for e in entries] != list(params.keys()):
             stored = {e["name"] for e in entries}
-            missing = sorted(set(params) - stored) + sorted(stored - set(params))
+            missing = (sorted(set(params) - stored) + sorted(stored - set(params))
+                       or ["the parameter order"])
             raise ShapeMismatchError(
                 f"parameter set disagrees with config (first difference: {missing[0]})")
         for entry in entries:
@@ -116,5 +152,10 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
         trailing = fh.read(1)
         if trailing:
             raise CorruptHeaderError("trailing bytes after final parameter blob")
+    regenerated = _base_sha256(model)
+    if regenerated != base_sha256:
+        raise BaseMismatchError(
+            f"seed {config.seed} regenerates a base with digest {regenerated[:12]}..., "
+            f"checkpoint was trained on {str(base_sha256)[:12]}...")
     model.step = step
     return model

@@ -21,6 +21,7 @@ from .allocation import DIMS_PRESETS, ModelDims, parse_alloc_spec, trainable_par
 from .analysis import AccuracyMatrix, build_report, dumps_report, emit_report
 from .checkpoint import CheckpointError, load, save
 from .model import (
+    PRECISIONS,
     AdamW,
     AdaptedModel,
     ToyTransformerConfig,
@@ -84,19 +85,32 @@ def _read_kv_config(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, raw: str, defaults: dict):
-    template = defaults.get(key)
-    if template is None and key == "target_acc":
-        return float(raw)
-    if template is None and key in ("epochs", "seed"):
-        return int(raw)
-    if isinstance(template, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(template, int):
-        return int(raw)
-    if isinstance(template, float):
-        return float(raw)
-    return raw
+# The value type of every settings key; keys whose default is None are listed.
+_TYPES = {"epochs": int, "target_acc": float, "seed": int, "out": str,
+          **{key: type(v) for key, v in CONTINUAL_DEFAULTS.items() if v is not None}}
+_CHOICES = {"eval_split": ("eval", "train", "all"), "precision": tuple(sorted(PRECISIONS))}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_HELP = {
+    "dataset": f"task kind {TASK_KINDS} or jsonl:PATH",
+    "alloc": "allocation spec, e.g. inverted:2468 or counts=1,1,3,3",
+    "k": "router top-K",
+    "epochs": "overrides --steps as epochs x batches-per-epoch",
+    "cutoff_len": "left-truncate prompts longer than this",
+    "target_acc": "stop once train accuracy reaches this level",
+    "identical_domains": "repeat the first domain at every stage (no-shift null test)",
+    "out": "output directory for run artifacts",
+}
+
+
+def _coerce(key: str, raw: str):
+    kind = _TYPES[key]
+    try:
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise UsageError(f"config key {key!r}: {raw!r} is not a valid {kind.__name__}") from None
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise UsageError(f"config key {key!r}: {raw!r} is not one of {_CHOICES[key]}")
+    return value
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -107,7 +121,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         for key, raw in file_values.items():
             if key not in defaults and key not in ("seed", "out"):
                 raise UsageError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, raw, defaults)
+            merged[key] = _coerce(key, raw)
     for key in list(defaults) + ["seed", "out"]:
         value = getattr(args, key, None)
         if value is not None:
@@ -118,6 +132,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _run_dir(resolved: dict) -> Path:
+    """Create the run directory; write its config.json and metrics.csv header."""
     out = resolved.get("out")
     if not out:
         raise UsageError("an output directory is mandatory (--out or config file)")
@@ -126,6 +141,9 @@ def _run_dir(resolved: dict) -> Path:
         json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()[:12]
     run_dir = Path(out) / digest
     run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.json").write_text(
+        json.dumps(resolved, sort_keys=True, indent=2, default=str) + "\n")
+    (run_dir / "metrics.csv").write_text(METRICS_HEADER + "\n")
     return run_dir
 
 
@@ -229,10 +247,7 @@ def cmd_train(args) -> int:
     config = _model_config(resolved)
     task = _load_dataset(resolved)
     run_dir = _run_dir(resolved)
-    (run_dir / "config.json").write_text(
-        json.dumps(resolved, sort_keys=True, indent=2, default=str) + "\n")
     metrics_path = run_dir / "metrics.csv"
-    metrics_path.write_text(METRICS_HEADER + "\n")
     model = AdaptedModel.build(config)
     try:
         _train_loop(model, task, resolved, metrics_path)
@@ -271,10 +286,7 @@ def cmd_continual(args) -> int:
         domains = [TaskData(name=f"stage{k}", train=domains[0].train,
                             eval=domains[0].eval) for k in range(len(domains))]
     run_dir = _run_dir(resolved)
-    (run_dir / "config.json").write_text(
-        json.dumps(resolved, sort_keys=True, indent=2, default=str) + "\n")
     metrics_path = run_dir / "metrics.csv"
-    metrics_path.write_text(METRICS_HEADER + "\n")
     model = AdaptedModel.build(config)
     t = len(domains)
     values = np.full((t, t), np.nan)
@@ -333,32 +345,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _add_common_train_flags(parser: Parser) -> None:
+def _add_run_flags(parser: Parser, defaults: dict) -> None:
+    """One flag per settings key: `--` plus the key with `-` for `_`."""
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--dataset", help=f"task kind {TASK_KINDS} or jsonl:PATH")
-    parser.add_argument("--data-size", dest="data_size", type=int)
-    parser.add_argument("--alloc", help="allocation spec, e.g. inverted:2468 or counts=1,1,3,3")
-    parser.add_argument("--k", type=int, help="router top-K")
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--epochs", type=int,
-                        help="overrides --steps as epochs x batches-per-epoch")
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--lr-decay", dest="lr_decay", type=float)
-    parser.add_argument("--lambda-aux", dest="lambda_aux", type=float)
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--rank", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--num-layers", dest="num_layers", type=int)
-    parser.add_argument("--d-model", dest="d_model", type=int)
-    parser.add_argument("--d-ffn", dest="d_ffn", type=int)
-    parser.add_argument("--cutoff-len", dest="cutoff_len", type=int,
-                        help="left-truncate prompts longer than this")
-    parser.add_argument("--target-acc", dest="target_acc", type=float,
-                        help="stop once train accuracy reaches this level")
-    parser.add_argument("--metrics-every", dest="metrics_every", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory for run artifacts")
+    for key in [*defaults, "seed", "out"]:
+        flag = "--" + key.replace("_", "-")
+        kind = _TYPES[key]
+        if kind is bool:
+            parser.add_argument(flag, dest=key, action="store_const", const=True,
+                                help=_HELP.get(key))
+        else:
+            parser.add_argument(flag, dest=key, type=kind, choices=_CHOICES.get(key),
+                                help=_HELP.get(key))
 
 
 def build_parser() -> Parser:
@@ -373,18 +371,11 @@ def build_parser() -> Parser:
     p_params.set_defaults(fn=cmd_params)
 
     p_train = sub.add_parser("train", help="train on one dataset")
-    _add_common_train_flags(p_train)
+    _add_run_flags(p_train, TRAIN_DEFAULTS)
     p_train.set_defaults(fn=cmd_train)
 
     p_cont = sub.add_parser("continual", help="sequential multi-domain fine-tuning")
-    _add_common_train_flags(p_cont)
-    p_cont.add_argument("--domains", type=int)
-    p_cont.add_argument("--domain-size", dest="domain_size", type=int)
-    p_cont.add_argument("--eval-split", dest="eval_split",
-                        choices=("eval", "train", "all"))
-    p_cont.add_argument("--identical-domains", dest="identical_domains",
-                        action="store_const", const=True,
-                        help="repeat the first domain at every stage (no-shift null test)")
+    _add_run_flags(p_cont, CONTINUAL_DEFAULTS)
     p_cont.set_defaults(fn=cmd_continual)
 
     p_an = sub.add_parser("analyze", help="redundancy / router stats / matrix metrics")
@@ -403,19 +394,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as err:
+    except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except TrainingDiverged as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except CheckpointError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (TrainingDiverged, CheckpointError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -336,8 +336,7 @@ def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
     """One optimization step on a batch of examples.
 
     The loss is answer-position cross-entropy plus lambda_aux times the mean
-    balance loss. A non-finite loss aborts the step (parameters untouched)
-    with the offending router named when attributable.
+    balance loss. A non-finite loss aborts the step (parameters untouched).
     """
     ids, labels, positions = _batch_arrays(batch)
     step_rng = rng.child("step", model.step)
@@ -349,8 +348,10 @@ def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
     ce = cross_entropy(answer_logits, labels)
     total = ce + result.aux_loss * model.config.lambda_aux
     if not np.isfinite(total.data):
-        culprit = _diagnose_non_finite(result, ce)
-        raise TrainingDiverged(f"non-finite loss at step {model.step}: {culprit}")
+        # softmax rejects non-finite router probabilities, so the balance
+        # loss is finite here and only the cross-entropy can have diverged
+        raise TrainingDiverged(
+            f"non-finite loss at step {model.step}: cross-entropy is non-finite")
     optimizer.zero_grad()
     total.backward()
     optimizer.step(lr=lr)
@@ -359,13 +360,13 @@ def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
                      aux_loss=float(result.aux_loss.data))
 
 
-def _diagnose_non_finite(result: ForwardResult, ce) -> str:
-    if not np.isfinite(ce.data):
-        return "cross-entropy is non-finite"
-    for (layer, tag), gate in result.gates.items():
-        if not np.isfinite(gate.probs.data).all():
-            return f"router (layer {layer}, {tag}) produced non-finite probabilities"
-    return "aux loss is non-finite"
+def length_batches(examples):
+    """Yield (examples of one prompt length, their token ids), shortest first."""
+    by_length: dict[int, list] = {}
+    for ex in examples:
+        by_length.setdefault(len(ex.prompt), []).append(ex)
+    for _, group in sorted(by_length.items()):
+        yield group, np.array([ex.prompt for ex in group], dtype=np.intp)
 
 
 def evaluate(model: AdaptedModel, examples) -> float:
@@ -374,11 +375,7 @@ def evaluate(model: AdaptedModel, examples) -> float:
     if not examples:
         raise ValueError("evaluate needs a non-empty dataset")
     correct = 0
-    by_length: dict[int, list] = {}
-    for ex in examples:
-        by_length.setdefault(len(ex.prompt), []).append(ex)
-    for _, group in sorted(by_length.items()):
-        ids = np.array([ex.prompt for ex in group], dtype=np.intp)
+    for group, ids in length_batches(examples):
         logits = model.forward(ids).logits.data[:, -1, :]
         for row, ex in zip(logits, group):
             if ex.choices:

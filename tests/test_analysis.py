@@ -173,14 +173,6 @@ class TestRedundancy:
         assert report.value == pytest.approx(report.per_matrix["q"], abs=1e-12)
         assert report.per_matrix["gate"] == 0.0  # identical MLP experts, excluded anyway
 
-    def test_factors_comparand_available(self):
-        # raw-factor distance is positive even while the products are both zero
-        model = small_model(counts=(2,), k=2, seed=9)
-        layer = model.blocks[0].adapted["q"]
-        assert mean_pairwise_distance(layer, comparand="product") == 0.0
-        value = mean_pairwise_distance(layer, comparand="factors")
-        assert value is not None and value > 0.0
-
     def test_fresh_model_all_zero(self):
         model = small_model(counts=(2, 3), k=2)
         for entry in redundancy_report(model):

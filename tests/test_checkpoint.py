@@ -1,5 +1,8 @@
 """Checkpoint format: bit-exact round trips and categorized corruption errors."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from mole.allocation import AllocationPlan
 from mole.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
+    BaseMismatchError,
     CorruptHeaderError,
     ShapeMismatchError,
     TruncatedBlobError,
@@ -25,6 +29,21 @@ def small_config(**overrides):
                 seed=8, dropout=0.05)
     base.update(overrides)
     return ToyTransformerConfig(**base)
+
+
+def read_header(path) -> tuple[dict, int]:
+    """The JSON header of a checkpoint file and the offset of its first blob."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4 + 8
+    (length,) = struct.unpack("<Q", raw[len(MAGIC) + 4:start])
+    return json.loads(raw[start:start + length]), start + length
+
+
+def rewrite_header(path, header: dict) -> None:
+    raw = path.read_bytes()
+    _, blobs = read_header(path)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:len(MAGIC) + 4] + struct.pack("<Q", len(text)) + text + raw[blobs:])
 
 
 def trained_model(steps=5):
@@ -72,6 +91,44 @@ class TestRoundTrip:
         assert restored.config.dtype == np.float32
         for name, p in model.named_parameters().items():
             assert p.data.tobytes() == restored.named_parameters()[name].data.tobytes()
+
+
+class TestAdapterOnly:
+    def test_file_holds_only_trainable_parameters(self, tmp_path):
+        model = trained_model(steps=1)
+        path = tmp_path / "model.ckpt"
+        save(model, path)
+        header, blobs = read_header(path)
+        assert [e["name"] for e in header["params"]] == list(model.trainable_parameters())
+        assert path.stat().st_size == blobs + 8 * model.trainable_param_total()
+
+    def test_other_seed_is_base_mismatch(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save(trained_model(steps=1), path)
+        with pytest.raises(BaseMismatchError, match="digest"):
+            load(path, config=small_config(seed=9))
+
+    def test_edited_base_digest_is_base_mismatch(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save(trained_model(steps=1), path)
+        header, _ = read_header(path)
+        header["base_sha256"] = "0" * 64
+        rewrite_header(path, header)
+        with pytest.raises(BaseMismatchError):
+            load(path)
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path):
+        model = trained_model(steps=1)
+        path = tmp_path / "model.ckpt"
+        save(model, path)
+        earlier = path.read_bytes()
+        # the last trainable blob cannot be written, so the save fails part-way
+        victim = list(model.trainable_parameters().values())[-1]
+        victim.data = np.full(victim.shape, "not a float", dtype=object)
+        with pytest.raises(ValueError):
+            save(model, path)
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 class TestCorruption:
@@ -133,6 +190,15 @@ class TestCorruption:
         wrong = small_config(allocation=AllocationPlan((2, 3), k=2))
         with pytest.raises(ShapeMismatchError, match="expert"):
             load(path, config=wrong)
+
+    def test_reordered_manifest_reported(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save(trained_model(steps=1), path)
+        header, _ = read_header(path)
+        header["params"][:2] = header["params"][1::-1]
+        rewrite_header(path, header)
+        with pytest.raises(ShapeMismatchError, match="order"):
+            load(path)
 
     def test_missing_file_is_not_a_crash(self, tmp_path):
         with pytest.raises(OSError):

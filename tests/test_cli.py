@@ -10,7 +10,7 @@ from golden_tables import DOMAINS, matrix_rows
 from mole.allocation import parse_alloc_spec
 from mole.analysis import AccuracyMatrix
 from mole.checkpoint import load
-from mole.cli import main
+from mole.cli import CONTINUAL_DEFAULTS, TRAIN_DEFAULTS, main
 from mole.model import AdaptedModel, ToyTransformerConfig
 from mole.tensor import Rng
 
@@ -123,6 +123,33 @@ class TestTrain:
         assert load(run_dir / "model.ckpt").config == ToyTransformerConfig(
             allocation=allocation, seed=11)
 
+    def test_every_settings_key_has_a_flag(self, capsys):
+        for command, defaults in (("train", TRAIN_DEFAULTS), ("continual", CONTINUAL_DEFAULTS)):
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+            usage = capsys.readouterr().out
+            for key in [*defaults, "seed", "out", "config"]:
+                assert f"--{key.replace('_', '-')}" in usage, (command, key)
+
+    def test_model_keys_settable_by_flag(self, tmp_path):
+        assert run_cli(*train_args(tmp_path, steps="0", precision="f32", **{
+            "num-heads": "2", "vocab-size": "128", "max-seq-len": "16"})) == 0
+        config = load(next((tmp_path / "runs").iterdir()) / "model.ckpt").config
+        assert (config.precision, config.num_heads, config.vocab_size,
+                config.max_seq_len) == ("f32", 2, 128, 16)
+
+    def test_bad_config_values_rejected(self, tmp_path, capsys):
+        # values outside a key's type or choices fail like the same bad flag would
+        for line in ("eval_split = bogus", "identical_domains = maybe", "steps = many",
+                     "precision = f16"):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(line + "\n")
+            assert run_cli("continual", "--config", str(cfg), "--domains", "2",
+                           "--domain-size", "20", "--steps", "2", "--seed", "1",
+                           "--out", str(tmp_path / "out")) == 1, line
+            assert line.split()[0] in capsys.readouterr().err, line
+        assert not (tmp_path / "out").exists()
+
     def test_jsonl_dataset(self, tmp_path):
         data = tmp_path / "data.jsonl"
         lines = [json.dumps({"prompt": f"{c}x=", "label": c, "choices": ["a", "b"]})
@@ -186,6 +213,14 @@ class TestAnalyze:
         bogus.write_bytes(b"MOLECKPTgarbage-that-is-not-a-checkpoint")
         assert run_cli("analyze", "--checkpoint", str(bogus)) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_base_digest_mismatch_is_runtime_failure(self, init_ckpt, capsys):
+        raw = init_ckpt.read_bytes()
+        at = raw.index(b'"base_sha256": "') + len(b'"base_sha256": "')
+        flipped = b"1" if raw[at:at + 1] == b"0" else b"0"
+        init_ckpt.write_bytes(raw[:at] + flipped + raw[at + 1:])
+        assert run_cli("analyze", "--checkpoint", str(init_ckpt)) == 2
+        assert "digest" in capsys.readouterr().err
 
     def test_cutoff_left_truncates_long_prompts(self, tmp_path):
         data = tmp_path / "long.jsonl"

@@ -248,6 +248,20 @@ class TestTraining:
         np.testing.assert_array_equal(
             model.blocks[1].adapted["v"].experts[0].in_factor.data, before)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_cross_entropy_named(self):
+        # an infinite frozen head passes every softmax but makes the logits NaN
+        model = AdaptedModel.build(tiny_config())
+        model.head.data[:] = np.inf
+        opt = AdamW(model.trainable_parameters(), lr=1e-3)
+        before = {n: p.data.copy() for n, p in model.trainable_parameters().items()}
+        example = Example(prompt=encode("ab="), label=ord("a"))
+        with pytest.raises(TrainingDiverged, match="cross-entropy is non-finite"):
+            train_step(model, [example], opt, Rng(26))
+        assert model.step == 0
+        for name, p in model.trainable_parameters().items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
     def test_mixed_length_batch_rejected(self):
         model = AdaptedModel.build(tiny_config())
         batch = [Example(prompt=encode("ab="), label=ord("a")),
