@@ -7,6 +7,15 @@ layer computes the frozen product unchanged. A per-layer router picks the K
 most probable experts per token and fuses their outputs with renormalized
 softmax weights. A switch-style load-balancing loss keeps expert workloads
 equitable.
+
+The layer applies all N experts of a matrix in one stacked formula: the
+factors are stacked to (N, rank, in) and (N, out, rank), the input is
+broadcast to (N, tokens, in) and dropped out in one draw, two batched matmuls
+give every expert's update for every token, and the fusion weights
+(N, tokens, 1) select and sum them. The graph therefore has the same size
+whatever N is. This relies on one invariant: the fusion weight of an
+unselected expert is exactly zero, so that expert's update contributes
+exactly nothing and its factors receive gradients of exactly zero.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, Rng, Tensor, dropout, matmul, mul, slice_axis, softmax
+from .tensor import NonFiniteError, Rng, Tensor, dropout, matmul, mul, softmax, stack
 
 ADAPTED_TAGS = ("q", "k", "v", "o", "gate", "down", "up")
 
@@ -105,24 +114,17 @@ class LoraExpert:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def delta(self, x: Tensor, train: bool = False, rng: Rng | None = None) -> Tensor:
-        """Adapter update for a batch of tokens x (tokens, in_dim) -> (tokens, out_dim)."""
-        dropped = dropout(x, self.dropout_rate, rng, train)
-        low = matmul(dropped, self.in_factor.transpose())      # (tokens, rank)
-        return matmul(low, self.out_factor.transpose()) * self.scaling
-
     def effective_delta(self) -> np.ndarray:
         """The dense (out_dim, in_dim) update this expert encodes, unscaled."""
         return self.out_factor.data @ self.in_factor.data
 
 
-def expert_delta(expert: LoraExpert, x, train: bool = False,
-                 rng: Rng | None = None) -> np.ndarray:
-    """Apply one expert to a single token vector; returns a plain array."""
+def expert_delta(expert: LoraExpert, x) -> np.ndarray:
+    """Apply one expert's scaled update to a single token vector."""
     vec = np.asarray(x, dtype=expert.in_factor.dtype)
     if vec.shape != (expert.in_dim,):
         raise ValueError(f"expected input of shape ({expert.in_dim},), got {vec.shape}")
-    return expert.delta(Tensor(vec[None, :]), train=train, rng=rng).data[0]
+    return expert.scaling * (expert.out_factor.data @ (expert.in_factor.data @ vec))
 
 
 class Router:
@@ -185,18 +187,10 @@ def load_balance_loss(outcomes: list[RoutingOutcome]) -> float:
     """
     if not outcomes:
         raise ValueError("load_balance_loss needs at least one routing outcome")
-    num_experts = len(outcomes[0].full_softmax)
-    counts = np.zeros(num_experts)
-    prob_sums = np.zeros(num_experts)
-    k = len(outcomes[0].selected)
-    for outcome in outcomes:
-        for i in outcome.selected:
-            counts[i] += 1.0
-        prob_sums += outcome.full_softmax
-    tokens = len(outcomes)
-    dispatch_frac = counts / (tokens * k)
-    mean_prob = prob_sums / tokens
-    return float(num_experts * np.dot(dispatch_frac, mean_prob))
+    probs = Tensor(np.stack([o.full_softmax for o in outcomes]))
+    selected = np.array([o.selected for o in outcomes])
+    # The balance loss reads only probs and selected; fusion is a stand-in.
+    return balance_loss_tensor(GateBatch(fusion=probs, probs=probs, selected=selected)).item()
 
 
 def balance_loss_tensor(gate: GateBatch) -> Tensor:
@@ -218,8 +212,15 @@ class AdaptedLinear:
     """A frozen linear map plus routed low-rank expert updates.
 
     The frozen weight is (out_dim, in_dim) and never receives gradients. All
-    experts share the frozen matrix's dimensions and rank; the router consumes
-    the same activation vector that feeds the frozen matrix.
+    experts share the frozen matrix's dimensions, rank, alpha and dropout
+    rate; the router consumes the same activation vector that feeds the frozen
+    matrix.
+
+    For tokens x the output is x @ frozen.T plus, summed over all N experts i,
+    fusion[:, i] * (alpha / rank) * dropout_i(x) @ A_i.T @ B_i.T, with A the
+    in-factors and B the out-factors stacked along a leading expert axis. The
+    fusion weight of an unselected expert is exactly zero, which keeps its
+    contribution and its factor gradients exactly zero.
     """
 
     def __init__(self, frozen_weight: np.ndarray, experts: list[LoraExpert],
@@ -232,9 +233,10 @@ class AdaptedLinear:
             if (e.in_dim, e.out_dim) != (in_dim, out_dim):
                 raise ValueError(
                     f"expert dims ({e.in_dim}, {e.out_dim}) disagree with frozen ({in_dim}, {out_dim})")
-        ranks = {e.rank for e in experts}
-        if len(ranks) > 1:
-            raise ValueError(f"experts must share one rank, got {sorted(ranks)}")
+        shared = {(e.rank, e.alpha, e.dropout_rate) for e in experts}
+        if len(shared) > 1:
+            raise ValueError(
+                f"experts must share one (rank, alpha, dropout_rate), got {sorted(shared)}")
         if router.num_experts != len(experts):
             raise ValueError(f"router expects {router.num_experts} experts, got {len(experts)}")
         if router.in_dim != in_dim:
@@ -255,12 +257,14 @@ class AdaptedLinear:
         """
         out = matmul(x, self.frozen.transpose())
         gate = self.router.gate(x)
-        for i in np.unique(gate.selected):
-            expert_rng = rng.child("expert", int(i)) if rng is not None else None
-            delta = self.experts[int(i)].delta(x, train=train, rng=expert_rng)
-            weight_col = slice_axis(gate.fusion, 1, int(i), 1)   # (tokens, 1)
-            out = out + mul(delta, weight_col)
-        return out, gate
+        n, first = len(self.experts), self.experts[0]
+        in_factors = stack([e.in_factor for e in self.experts])       # (N, rank, in)
+        out_factors = stack([e.out_factor for e in self.experts])     # (N, out, rank)
+        dropped = dropout(stack([x] * n), first.dropout_rate, rng, train)  # (N, tokens, in)
+        low = matmul(dropped, in_factors.transpose(0, 2, 1))          # (N, tokens, rank)
+        up = matmul(low, out_factors.transpose(0, 2, 1))              # (N, tokens, out)
+        weights = gate.fusion.transpose().reshape(n, -1, 1) * first.scaling
+        return out + (up * weights).sum(axis=0), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         params = {f"{prefix}frozen": self.frozen, f"{prefix}router": self.router.weight}

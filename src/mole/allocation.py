@@ -143,19 +143,18 @@ def per_layer_param_slope(dims: ModelDims) -> int:
     return sum(dims.rank * (i + o) + i for _, i, o in dims.adapted_matrices)
 
 
-def validate(plan: AllocationPlan, dims: ModelDims, k: int | None = None) -> list[str]:
-    """Collect every violation between a plan and model dims; empty means ok."""
-    k = plan.k if k is None else k
+def validate(plan: AllocationPlan, dims: ModelDims) -> list[str]:
+    """Collect every violation between a plan and model dims; empty means ok.
+
+    The rank bound needs no check here: `ModelDims` already rejects it.
+    """
     violations = []
     if plan.num_layers != dims.num_layers:
         violations.append(
             f"plan has {plan.num_layers} layers but model has {dims.num_layers}")
     for j, n in enumerate(plan.counts):
-        if n < k:
-            violations.append(f"layer {j}: expert count {n} < top-K {k}")
-    bound = min(min(i, o) for _, i, o in dims.adapted_matrices)
-    if dims.rank >= bound:
-        violations.append(f"rank {dims.rank} >= smallest adapted dimension {bound}")
+        if n < plan.k:
+            violations.append(f"layer {j}: expert count {n} < top-K {plan.k}")
     return violations
 
 

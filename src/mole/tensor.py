@@ -163,12 +163,6 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce_mean(self, axis, keepdims)
 
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
     def pow(self, exponent: float) -> "Tensor":
         return power(self, exponent)
 
@@ -234,26 +228,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
     def backward(grad):
         if a.requires_grad:
             a._accumulate(grad * exponent * a.data ** (exponent - 1.0))
-
-    return _make(out_data, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad / a.data)
 
     return _make(out_data, (a,), backward)
 
@@ -345,20 +319,17 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def slice_axis(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis; gradient scatters back zero-padded."""
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out_data = a.data[index]
+def stack(tensors: list[Tensor]) -> Tensor:
+    """Join equal-shape tensors along a new leading axis; slice i of the
+    gradient goes back to tensors[i]."""
+    out_data = np.stack([t.data for t in tensors])
 
     def backward(grad):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[index] = grad
-            a._accumulate(full)
+        for t, g in zip(tensors, grad):
+            if t.requires_grad:
+                t._accumulate(g)
 
-    return _make(out_data, (a,), backward)
+    return _make(out_data, tuple(tensors), backward)
 
 
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -213,6 +213,44 @@ class TestAdaptedLinear:
         assert layer.router.weight.grad is not None
         assert layer.frozen.grad is None
 
+    def test_recorded_ops_do_not_depend_on_expert_count(self):
+        def ops(num_experts):
+            layer = make_layer(6, 5, num_experts=num_experts, k=2, seed=53, dropout_rate=0.1)
+            randomize_adapters(layer, 54)
+            x = Tensor(Rng(55).normal((64, 6)), requires_grad=True)
+            out, gate = layer.forward(x, train=True, rng=Rng(56))
+            assert len(np.unique(gate.selected)) == num_experts
+            # an op is a recorded tensor with a backward; leaves grow with N
+            seen, todo, count = {id(out)}, [out], 0
+            while todo:
+                node = todo.pop()
+                count += node._backward is not None
+                for parent in node._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        todo.append(parent)
+            return count
+
+        assert ops(2) == ops(8)
+
+    def test_identical_experts_draw_their_own_dropout_masks(self):
+        layer = make_layer(6, 5, num_experts=2, k=2, seed=57, dropout_rate=0.5)
+        randomize_adapters(layer, 58)
+        first, twin = layer.experts
+        twin.out_factor.data[:] = first.out_factor.data
+        twin.in_factor.data[:] = first.in_factor.data
+        layer.router.weight.data[:] = 0.0     # equal fusion weights 1/2, 1/2
+        out, gate = layer.forward(Tensor(Rng(59).normal((4, 6))), train=True, rng=Rng(60))
+        np.testing.assert_array_equal(gate.fusion.data, 0.5)
+        (out * Tensor(Rng(61).normal(out.shape))).sum().backward()
+        assert np.any(np.abs(first.in_factor.grad - twin.in_factor.grad) > 1e-6)
+
+    @pytest.mark.parametrize("field", ["alpha", "dropout_rate"])
+    def test_experts_must_share_alpha_and_dropout(self, field):
+        experts = [LoraExpert(4, 4, 2, **{field: value}) for value in (0.25, 0.5)]
+        with pytest.raises(ValueError, match="must share"):
+            AdaptedLinear(np.eye(4), experts, Router(4, 2, 1))
+
     def test_dropout_off_at_eval_keeps_identity_exact(self):
         layer = make_layer(4, 4, num_experts=2, k=2, seed=51, dropout_rate=0.5)
         x = Rng(52).normal((4,))
@@ -280,12 +318,13 @@ class TestLoadBalanceLoss:
         assert np.all(grad_by_column > 0)
 
 
-def test_full_adapted_layer_grad_check():
+@pytest.mark.parametrize("num_experts, k", [(3, 2), (8, 1)])
+def test_full_adapted_layer_grad_check(num_experts, k):
     """Adapter-path loss (frozen product + gated expert sum + cross entropy),
     checked against central finite differences in 64-bit."""
     from mole.tensor import grad_check
 
-    layer = make_layer(5, 4, num_experts=3, k=2, rank=2, seed=71, dropout_rate=0.1)
+    layer = make_layer(5, 4, num_experts=num_experts, k=k, rank=2, seed=71, dropout_rate=0.1)
     randomize_adapters(layer, 72)
     x = Tensor(Rng(73).normal((3, 5)))
     targets = np.array([1, 0, 3])

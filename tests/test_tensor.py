@@ -19,8 +19,8 @@ from mole.tensor import (
     reduce_mean,
     rows_at,
     silu,
-    slice_axis,
     softmax,
+    stack,
     take_rows,
     tensor,
 )
@@ -132,14 +132,18 @@ class TestStructuralOps:
 
         assert grad_check(f, {"x": x}).passed
 
-    def test_slice_axis_values_and_grad(self):
-        x = tensor(np.arange(12, dtype=np.float64).reshape(3, 4), requires_grad=True)
-        out = slice_axis(x, 1, 1, 2)
-        np.testing.assert_array_equal(out.data, [[1, 2], [5, 6], [9, 10]])
-        out.sum().backward()
-        expected = np.zeros((3, 4))
-        expected[:, 1:3] = 1.0
-        np.testing.assert_array_equal(x.grad, expected)
+    def test_stack_values_and_grads(self):
+        # a tensor stacked twice receives both of its gradient slices
+        x = tensor(Rng(4).normal((2, 3)), requires_grad=True)
+        y = tensor(Rng(5).normal((2, 3)), requires_grad=True)
+        out = stack([x, y, x])
+        np.testing.assert_array_equal(out.data, np.stack([x.data, y.data, x.data]))
+        w = Rng(6).normal((3, 2, 3))
+
+        def f():
+            return (stack([x, y, x]) * stack([x, y, x]) * w).sum()
+
+        assert grad_check(f, {"x": x, "y": y}).passed
 
     def test_take_rows_grad_accumulates_repeats(self):
         table = tensor(np.eye(4), requires_grad=True)
