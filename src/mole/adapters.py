@@ -8,14 +8,12 @@ most probable experts per token and fuses their outputs with renormalized
 softmax weights. A switch-style load-balancing loss keeps expert workloads
 equitable.
 
-The layer applies all N experts of a matrix in one stacked formula: the
-factors are stacked to (N, rank, in) and (N, out, rank), the input is
-broadcast to (N, tokens, in) and dropped out in one draw, two batched matmuls
-give every expert's update for every token, and the fusion weights
-(N, tokens, 1) select and sum them. The graph therefore has the same size
-whatever N is. This relies on one invariant: the fusion weight of an
-unselected expert is exactly zero, so that expert's update contributes
-exactly nothing and its factors receive gradients of exactly zero.
+The expert path of a matrix is one grouped dispatch (:func:`routed_lora`):
+each expert that some token selected runs only on the rows routed to it, so
+the work grows with K, not with the expert count N, and the graph records one
+node whatever N is. An expert that no token selected is never run and its
+factors receive no gradient. Dropout is one mask draw per matrix, one mask per
+(token, selection slot), so two identical experts still see different masks.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, Rng, Tensor, dropout, matmul, mul, softmax, stack
+from .tensor import NonFiniteError, Rng, Tensor, _make, dropout_mask, matmul, mul, softmax
 
 ADAPTED_TAGS = ("q", "k", "v", "o", "gate", "down", "up")
 
@@ -118,13 +116,21 @@ class LoraExpert:
         """The dense (out_dim, in_dim) update this expert encodes, unscaled."""
         return self.out_factor.data @ self.in_factor.data
 
+    def delta(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unscaled update of the input rows (rows, in_dim) routed to this
+        expert: returns (rows @ in_factor.T @ out_factor.T, the rank-space
+        product rows @ in_factor.T that the backward reuses)."""
+        low = rows @ self.in_factor.data.T
+        return low @ self.out_factor.data.T, low
+
 
 def expert_delta(expert: LoraExpert, x) -> np.ndarray:
     """Apply one expert's scaled update to a single token vector."""
     vec = np.asarray(x, dtype=expert.in_factor.dtype)
     if vec.shape != (expert.in_dim,):
         raise ValueError(f"expected input of shape ({expert.in_dim},), got {vec.shape}")
-    return expert.scaling * (expert.out_factor.data @ (expert.in_factor.data @ vec))
+    up, _ = expert.delta(vec[None, :])
+    return expert.scaling * up[0]
 
 
 class Router:
@@ -208,6 +214,67 @@ def balance_loss_tensor(gate: GateBatch) -> Tensor:
     return (mean_prob * Tensor(dispatch_frac)).sum() * float(num_experts)
 
 
+def routed_lora(x: Tensor, gate: GateBatch, experts: list[LoraExpert],
+                keep: np.ndarray | None, scale: float) -> Tensor:
+    """Sum of each token's selected expert updates, weighted by fusion * scale.
+
+    For each expert i that some token selected, with (tok, slot) the places
+    where ``gate.selected == i``, the output rows tok receive
+    fusion[tok, i] * scale * (x[tok] * keep[tok, slot]) @ A_i.T @ B_i.T, with
+    A the in-factor and B the out-factor. `keep` is the (tokens, K, in_dim)
+    dropout mask, or None for no dropout. An expert whose rows are all the
+    tokens skips the gather and the scatter. The backward sends gradients to
+    x, to fusion at the selected entries and to each routed expert's factors.
+    """
+    fusion, selected = gate.fusion, gate.selected
+    tokens, k = selected.shape
+    # Group the (token, slot) pairs by expert. The sort is stable, so each
+    # group lists its tokens in ascending order, at most once each.
+    order = np.argsort(selected, axis=None, kind="stable")
+    tok, slot = np.divmod(order, k)
+    expert_of = selected.reshape(-1)[order]
+    bounds = np.searchsorted(expert_of, np.arange(len(experts) + 1))
+    weight = (fusion.data[tok, expert_of] * scale)[:, None]
+    mask = None if keep is None else keep[tok, slot]
+    out = np.zeros((tokens, experts[0].out_dim), dtype=x.dtype)
+    routes = []
+    for i in np.flatnonzero(np.diff(bounds)):
+        a, b = bounds[i], bounds[i + 1]
+        at = slice(None) if b - a == tokens else tok[a:b]
+        rows = x.data[at]
+        if mask is not None:
+            rows = rows * mask[a:b]
+        up, low = experts[i].delta(rows)
+        up *= weight[a:b]
+        out[at] += up
+        routes.append((experts[i], a, b, at, rows, low))
+
+    def backward(grad):
+        dx = np.zeros_like(x.data) if x.requires_grad else None
+        dweight = np.empty(order.size, dtype=x.dtype)   # d loss / d weight, per pair
+        for expert, a, b, at, rows, low in routes:
+            g = grad[at]
+            h = g @ expert.out_factor.data                 # (rows, rank)
+            np.einsum("rk,rk->r", h, low, out=dweight[a:b])
+            h *= weight[a:b]
+            expert.out_factor._accumulate(g.T @ (low * weight[a:b]))
+            expert.in_factor._accumulate(h.T @ rows)
+            if dx is not None:
+                gx = h @ expert.in_factor.data
+                if mask is not None:
+                    gx *= mask[a:b]
+                dx[at] += gx
+        if dx is not None:
+            x._accumulate(dx)
+        if fusion.requires_grad:
+            dfusion = np.zeros_like(fusion.data)
+            dfusion[tok, expert_of] = scale * dweight
+            fusion._accumulate(dfusion)
+
+    factors = [t for route in routes for t in (route[0].in_factor, route[0].out_factor)]
+    return _make(out, (x, fusion, *factors), backward)
+
+
 class AdaptedLinear:
     """A frozen linear map plus routed low-rank expert updates.
 
@@ -216,11 +283,12 @@ class AdaptedLinear:
     rate; the router consumes the same activation vector that feeds the frozen
     matrix.
 
-    For tokens x the output is x @ frozen.T plus, summed over all N experts i,
-    fusion[:, i] * (alpha / rank) * dropout_i(x) @ A_i.T @ B_i.T, with A the
-    in-factors and B the out-factors stacked along a leading expert axis. The
-    fusion weight of an unselected expert is exactly zero, which keeps its
-    contribution and its factor gradients exactly zero.
+    For tokens x the output is x @ frozen.T plus, for each token and each of
+    its K selected experts i, fusion[token, i] * (alpha / rank) *
+    dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors and B the
+    out-factors. The expert path is grouped by expert (:func:`routed_lora`):
+    each expert runs once, on the rows routed to it, so an adapted matrix costs
+    O(K) expert rows per token whatever its expert count.
     """
 
     def __init__(self, frozen_weight: np.ndarray, experts: list[LoraExpert],
@@ -257,14 +325,10 @@ class AdaptedLinear:
         """
         out = matmul(x, self.frozen.transpose())
         gate = self.router.gate(x)
-        n, first = len(self.experts), self.experts[0]
-        in_factors = stack([e.in_factor for e in self.experts])       # (N, rank, in)
-        out_factors = stack([e.out_factor for e in self.experts])     # (N, out, rank)
-        dropped = dropout(stack([x] * n), first.dropout_rate, rng, train)  # (N, tokens, in)
-        low = matmul(dropped, in_factors.transpose(0, 2, 1))          # (N, tokens, rank)
-        up = matmul(low, out_factors.transpose(0, 2, 1))              # (N, tokens, out)
-        weights = gate.fusion.transpose().reshape(n, -1, 1) * first.scaling
-        return out + (up * weights).sum(axis=0), gate
+        first = self.experts[0]
+        keep = dropout_mask((x.shape[0], self.router.k, self.in_dim), first.dropout_rate,
+                            rng, train, x.dtype)
+        return out + routed_lora(x, gate, self.experts, keep, first.scaling), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         params = {f"{prefix}frozen": self.frozen, f"{prefix}router": self.router.weight}

@@ -136,8 +136,7 @@ class Block:
         layer = self.adapted[tag]
         if not adapters_on:
             return matmul(x, layer.frozen.transpose())
-        tag_rng = rng.child(self.layer_index, tag) if rng is not None else None
-        out, gate = layer.forward(x, train=train, rng=tag_rng)
+        out, gate = layer.forward(x, train=train, rng=rng)
         gates[(self.layer_index, tag)] = gate
         return out
 
@@ -240,7 +239,9 @@ class AdaptedModel:
                 adapters_on: bool = True) -> ForwardResult:
         """Causal next-token logits plus the mean balance loss over routers.
 
-        `rng` is only needed for dropout in train mode. Logits keep the
+        `rng` is only needed for dropout in train mode. A train-mode forward
+        consumes it: the adapted matrices draw their dropout masks from it in
+        a fixed order, so pass a fresh stream per forward. Logits keep the
         input's batch arrangement: (seq, vocab) for a flat sequence,
         (batch, seq, vocab) for a batch.
         """

@@ -90,8 +90,10 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy: `grad` may be another node's array, which later adds must not touch
+            self.grad = np.array(grad, dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -319,19 +321,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def stack(tensors: list[Tensor]) -> Tensor:
-    """Join equal-shape tensors along a new leading axis; slice i of the
-    gradient goes back to tensors[i]."""
-    out_data = np.stack([t.data for t in tensors])
-
-    def backward(grad):
-        for t, g in zip(tensors, grad):
-            if t.requires_grad:
-                t._accumulate(g)
-
-    return _make(out_data, tuple(tensors), backward)
-
-
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather `table[ids]` (embedding lookup); ids is a plain int array."""
     ids = np.asarray(ids)
@@ -411,17 +400,24 @@ def cross_entropy(logits: Tensor, target_index) -> Tensor:
     return _make(out_data, (logits,), backward)
 
 
-def dropout(a: Tensor, rate: float, rng: "Rng | None", train: bool) -> Tensor:
-    """Inverted-mask dropout: scales kept entries by 1/(1-rate) at train time,
-    identity at eval time so the inference path stays deterministic."""
+def dropout_mask(shape, rate: float, rng: "Rng | None", train: bool,
+                 dtype=np.float64) -> np.ndarray | None:
+    """Inverted-dropout keep mask of `shape`: kept entries are 1/(1-rate),
+    dropped ones 0. None at eval time or at rate 0, where nothing is dropped,
+    so the inference path stays deterministic."""
     if not train or rate <= 0.0:
-        return a
+        return None
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None:
         raise ValueError("dropout in train mode needs an Rng")
-    keep = (rng.random(a.shape) >= rate).astype(a.dtype) / (1.0 - rate)
-    return mul(a, Tensor(keep))
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+
+
+def dropout(a: Tensor, rate: float, rng: "Rng | None", train: bool) -> Tensor:
+    """Multiply `a` by a :func:`dropout_mask`; identity when nothing is dropped."""
+    keep = dropout_mask(a.shape, rate, rng, train, a.dtype)
+    return a if keep is None else mul(a, Tensor(keep))
 
 
 # -- randomness --------------------------------------------------------------

@@ -318,22 +318,82 @@ class TestLoadBalanceLoss:
         assert np.all(grad_by_column > 0)
 
 
-@pytest.mark.parametrize("num_experts, k", [(3, 2), (8, 1)])
+@pytest.mark.parametrize("num_experts, k", [(3, 2), (8, 1), (8, 2), (2, 2)])
 def test_full_adapted_layer_grad_check(num_experts, k):
     """Adapter-path loss (frozen product + gated expert sum + cross entropy),
-    checked against central finite differences in 64-bit."""
+    checked against central finite differences in 64-bit, input included.
+    (2, 2) routes every token to every expert, the no-gather path."""
     from mole.tensor import grad_check
 
     layer = make_layer(5, 4, num_experts=num_experts, k=k, rank=2, seed=71, dropout_rate=0.1)
     randomize_adapters(layer, 72)
-    x = Tensor(Rng(73).normal((3, 5)))
+    x = Tensor(Rng(73).normal((3, 5)), requires_grad=True)
     targets = np.array([1, 0, 3])
 
     def f():
         out, gate = layer.forward(x, train=True, rng=Rng(74).child("drop"))
         return cross_entropy(out, targets) + 0.01 * balance_loss_tensor(gate)
 
-    params = dict(layer.named_parameters())
+    params = dict(layer.named_parameters(), x=x)
     result = grad_check(f, params, step=1e-5, tolerance=1e-5)
     assert result.passed, result.summary()
     assert "frozen" in result.frozen_params
+    assert np.any(x.grad)
+
+
+def test_adapted_layer_grad_check_tied_router_logits():
+    """A zero router ties every logit: each token takes experts 0 and 1 (ties
+    go to the lower index) at fusion 1/2, so two of four experts run on all
+    rows. The router is left out of the finite-difference sweep, because any
+    perturbation of it breaks the tie; the other cases check its gradient."""
+    from mole.tensor import grad_check
+
+    layer = make_layer(5, 4, num_experts=4, k=2, rank=2, seed=75, dropout_rate=0.1)
+    randomize_adapters(layer, 76)
+    layer.router.weight.data[:] = 0.0
+    x = Tensor(Rng(77).normal((3, 5)), requires_grad=True)
+    targets = np.array([2, 0, 1])
+
+    def f():
+        out, gate = layer.forward(x, train=True, rng=Rng(78).child("drop"))
+        return cross_entropy(out, targets)
+
+    _, gate = layer.forward(x)
+    np.testing.assert_array_equal(gate.selected, [[0, 1]] * 3)
+    np.testing.assert_array_equal(gate.fusion.data, [[0.5, 0.5, 0.0, 0.0]] * 3)
+    params = {name: p for name, p in layer.named_parameters().items() if name != "router"}
+    result = grad_check(f, dict(params, x=x), step=1e-5, tolerance=1e-5)
+    assert result.passed, result.summary()
+    for e in layer.experts[2:]:
+        assert e.in_factor.grad is None and e.out_factor.grad is None
+
+
+def test_expert_work_follows_k(monkeypatch):
+    """At N=8, K=1 the rows handed to LoraExpert.delta over one forward sum
+    to tokens * K; an expert no token selected is never run and its factors
+    receive no gradient."""
+    calls = []
+    delta = LoraExpert.delta
+
+    def counted(expert, rows):
+        calls.append((expert, rows.shape[0]))
+        return delta(expert, rows)
+
+    monkeypatch.setattr(LoraExpert, "delta", counted)
+    layer = make_layer(6, 5, num_experts=8, k=1, seed=81, dropout_rate=0.1)
+    randomize_adapters(layer, 82)
+    x = Tensor(Rng(83).normal((5, 6)), requires_grad=True)
+    out, gate = layer.forward(x, train=True, rng=Rng(84))
+    (out * out).sum().backward()
+
+    assert sum(rows for _, rows in calls) == 5 * 1
+    routed = set(np.unique(gate.selected).tolist())
+    for i, e in enumerate(layer.experts):
+        ran = [rows for expert, rows in calls if expert is e]
+        if i in routed:
+            assert ran == [int(np.sum(gate.selected == i))]
+            assert np.any(e.in_factor.grad) and np.any(e.out_factor.grad)
+        else:
+            assert ran == []
+            assert e.in_factor.grad is None and e.out_factor.grad is None
+    assert len(routed) < 8

@@ -20,7 +20,6 @@ from mole.tensor import (
     rows_at,
     silu,
     softmax,
-    stack,
     take_rows,
     tensor,
 )
@@ -131,19 +130,6 @@ class TestStructuralOps:
             return (x.reshape(6, 4).transpose(1, 0) * x.reshape(6, 4).transpose(1, 0)).sum()
 
         assert grad_check(f, {"x": x}).passed
-
-    def test_stack_values_and_grads(self):
-        # a tensor stacked twice receives both of its gradient slices
-        x = tensor(Rng(4).normal((2, 3)), requires_grad=True)
-        y = tensor(Rng(5).normal((2, 3)), requires_grad=True)
-        out = stack([x, y, x])
-        np.testing.assert_array_equal(out.data, np.stack([x.data, y.data, x.data]))
-        w = Rng(6).normal((3, 2, 3))
-
-        def f():
-            return (stack([x, y, x]) * stack([x, y, x]) * w).sum()
-
-        assert grad_check(f, {"x": x, "y": y}).passed
 
     def test_take_rows_grad_accumulates_repeats(self):
         table = tensor(np.eye(4), requires_grad=True)
