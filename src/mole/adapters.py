@@ -11,7 +11,9 @@ equitable.
 The expert path of a matrix is one grouped dispatch (:func:`routed_lora`):
 each expert that some token selected runs only on the rows routed to it, so
 the work grows with K, not with the expert count N, and the graph records one
-node whatever N is. An expert that no token selected is never run and its
+node whatever N is. That node also differentiates the top-K renormalisation,
+so a router adds two nodes to the graph, its logits and their softmax, and the
+balance loss one more. An expert that no token selected is never run and its
 factors receive no gradient. Dropout is one mask draw per matrix, one mask per
 (token, selection slot), so two identical experts still see different masks.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, Rng, Tensor, _make, dropout_mask, matmul, mul, softmax
+from .tensor import NonFiniteError, Rng, Tensor, _make, dropout_mask, matmul, softmax
 
 ADAPTED_TAGS = ("q", "k", "v", "o", "gate", "down", "up")
 
@@ -36,18 +38,20 @@ class GateBatch:
 
     `fusion` (tokens, num_experts) carries the renormalized weights with exact
     zeros at unselected experts; `probs` is the dense softmax; `selected`
-    (tokens, K) lists chosen expert indices in ascending order. `fusion` and
-    `probs` stay in the autodiff graph.
+    (tokens, K) lists chosen expert indices in ascending order. Only `probs`
+    is in the autodiff graph: `fusion` is a plain array, and
+    :func:`routed_lora` sends its gradient through the renormalisation to
+    `probs`.
     """
 
-    fusion: Tensor
+    fusion: np.ndarray
     probs: Tensor
     selected: np.ndarray
 
     def outcome(self, token: int) -> "RoutingOutcome":
         idx = tuple(int(i) for i in self.selected[token])
         return RoutingOutcome(selected=idx,
-                              weights=self.fusion.data[token, list(idx)].copy(),
+                              weights=self.fusion[token, list(idx)].copy(),
                               full_softmax=self.probs.data[token].copy())
 
     def outcomes(self) -> list["RoutingOutcome"]:
@@ -157,7 +161,12 @@ class Router:
         self.weight = Tensor(init, requires_grad=True)
 
     def gate(self, x: Tensor) -> "GateBatch":
-        """Gate a batch of tokens x (tokens, in_dim); see :class:`GateBatch`."""
+        """Gate a batch of tokens x (tokens, in_dim); see :class:`GateBatch`.
+
+        The softmax `probs` is the gate's only graph node. `fusion`, the
+        selected probabilities renormalised to sum to one, is a plain array;
+        :func:`routed_lora` differentiates it.
+        """
         logits = matmul(x, self.weight)                     # (tokens, N)
         try:
             probs = softmax(logits, axis=-1)
@@ -167,10 +176,9 @@ class Router:
         # Stable argsort on -p: ties resolve to the lower expert index.
         order = np.argsort(-probs.data, axis=-1, kind="stable")
         selected = np.sort(order[:, : self.k], axis=-1)
-        mask = np.zeros(probs.shape, dtype=probs.dtype)
-        np.put_along_axis(mask, selected, 1.0, axis=-1)
-        kept = mul(probs, Tensor(mask))
-        fusion = kept * kept.sum(axis=-1, keepdims=True).pow(-1.0)
+        kept = np.take_along_axis(probs.data, selected, axis=-1)
+        fusion = np.zeros_like(probs.data)
+        np.put_along_axis(fusion, selected, kept / kept.sum(axis=-1, keepdims=True), axis=-1)
         return GateBatch(fusion=fusion, probs=probs, selected=selected)
 
     def route(self, x) -> RoutingOutcome:
@@ -193,25 +201,34 @@ def load_balance_loss(outcomes: list[RoutingOutcome]) -> float:
     """
     if not outcomes:
         raise ValueError("load_balance_loss needs at least one routing outcome")
-    probs = Tensor(np.stack([o.full_softmax for o in outcomes]))
+    probs = np.stack([o.full_softmax for o in outcomes])
     selected = np.array([o.selected for o in outcomes])
     # The balance loss reads only probs and selected; fusion is a stand-in.
-    return balance_loss_tensor(GateBatch(fusion=probs, probs=probs, selected=selected)).item()
+    return balance_loss_tensor(
+        GateBatch(fusion=probs, probs=Tensor(probs), selected=selected)).item()
 
 
 def balance_loss_tensor(gate: GateBatch) -> Tensor:
-    """Differentiable twin of :func:`load_balance_loss` for one router batch.
+    """Differentiable twin of :func:`load_balance_loss` for one router batch,
+    as one op.
 
-    The dispatch fractions are constants (selection is discrete); gradient
-    flows through the mean probabilities only, reaching every expert column
-    of the router weight.
+    The dispatch fractions f are constants (selection is discrete); gradient
+    flows through the mean probabilities only, so each probability p[t, i]
+    receives N * f_i / T, reaching every expert column of the router weight.
     """
     probs, selected = gate.probs, gate.selected
-    num_experts = probs.shape[1]
+    tokens, num_experts = probs.shape
     counts = np.bincount(selected.reshape(-1), minlength=num_experts).astype(probs.dtype)
     dispatch_frac = counts / selected.size
-    mean_prob = probs.mean(axis=0)
-    return (mean_prob * Tensor(dispatch_frac)).sum() * float(num_experts)
+    out = np.asarray((probs.data.mean(axis=0) * dispatch_frac).sum() * float(num_experts),
+                     dtype=probs.dtype)
+
+    def backward(grad):
+        if probs.requires_grad:
+            probs._accumulate(np.broadcast_to(
+                grad * float(num_experts) / tokens * dispatch_frac, probs.shape))
+
+    return _make(out, (probs,), backward)
 
 
 def routed_lora(x: Tensor, gate: GateBatch, experts: list[LoraExpert],
@@ -223,10 +240,15 @@ def routed_lora(x: Tensor, gate: GateBatch, experts: list[LoraExpert],
     fusion[tok, i] * scale * (x[tok] * keep[tok, slot]) @ A_i.T @ B_i.T, with
     A the in-factor and B the out-factor. `keep` is the (tokens, K, in_dim)
     dropout mask, or None for no dropout. An expert whose rows are all the
-    tokens skips the gather and the scatter. The backward sends gradients to
-    x, to fusion at the selected entries and to each routed expert's factors.
+    tokens skips the gather and the scatter.
+
+    The parents are x, `gate.probs` and the routed experts' factors; `fusion`
+    is a plain array. The backward sends gradients to x, to each routed
+    expert's factors and, through the renormalisation, to the selected
+    probabilities: for a token with selected set S,
+    dp_S = (dfusion_S - <dfusion_S, fusion_S>) / sum(p_S).
     """
-    fusion, selected = gate.fusion, gate.selected
+    fusion, probs, selected = gate.fusion, gate.probs, gate.selected
     tokens, k = selected.shape
     # Group the (token, slot) pairs by expert. The sort is stable, so each
     # group lists its tokens in ascending order, at most once each.
@@ -234,7 +256,7 @@ def routed_lora(x: Tensor, gate: GateBatch, experts: list[LoraExpert],
     tok, slot = np.divmod(order, k)
     expert_of = selected.reshape(-1)[order]
     bounds = np.searchsorted(expert_of, np.arange(len(experts) + 1))
-    weight = (fusion.data[tok, expert_of] * scale)[:, None]
+    weight = (fusion[tok, expert_of] * scale)[:, None]
     mask = None if keep is None else keep[tok, slot]
     out = np.zeros((tokens, experts[0].out_dim), dtype=x.dtype)
     routes = []
@@ -266,13 +288,19 @@ def routed_lora(x: Tensor, gate: GateBatch, experts: list[LoraExpert],
                 dx[at] += gx
         if dx is not None:
             x._accumulate(dx)
-        if fusion.requires_grad:
-            dfusion = np.zeros_like(fusion.data)
-            dfusion[tok, expert_of] = scale * dweight
-            fusion._accumulate(dfusion)
+        if probs.requires_grad:
+            dsel = np.empty(selected.shape, dtype=x.dtype)     # d loss / d fusion_S
+            dsel[tok, slot] = scale * dweight
+            dsel -= (dsel * np.take_along_axis(fusion, selected, axis=-1)).sum(
+                axis=-1, keepdims=True)
+            dsel /= np.take_along_axis(probs.data, selected, axis=-1).sum(
+                axis=-1, keepdims=True)                     # now d loss / d p_S
+            dprobs = np.zeros_like(probs.data)
+            np.put_along_axis(dprobs, selected, dsel, axis=-1)
+            probs._accumulate(dprobs)
 
     factors = [t for route in routes for t in (route[0].in_factor, route[0].out_factor)]
-    return _make(out, (x, fusion, *factors), backward)
+    return _make(out, (x, probs, *factors), backward)
 
 
 class AdaptedLinear:

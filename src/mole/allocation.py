@@ -9,7 +9,7 @@ fully expanded per layer; a 4-digit group code like "2468" is parsing sugar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SHAPES = ("triangle", "inverted_triangle", "hourglass", "rectangle")
 
@@ -46,36 +46,27 @@ class AllocationPlan:
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Shape information needed for parameter accounting.
-
-    `adapted_matrices` lists (tag, in_dim, out_dim) for every matrix that
-    receives experts; by default the four attention projections plus the
-    three MLP matrices.
-    """
+    """Shape information needed for parameter accounting."""
 
     num_layers: int
     d_model: int
     d_ffn: int
     rank: int
-    adapted_matrices: tuple[tuple[str, int, int], ...] = field(default=())
 
     def __post_init__(self):
         if min(self.num_layers, self.d_model, self.d_ffn, self.rank) < 1:
             raise ValueError("all dimensions must be positive")
-        if not self.adapted_matrices:
-            object.__setattr__(self, "adapted_matrices",
-                               default_adapted_matrices(self.d_model, self.d_ffn))
         bound = min(min(i, o) for _, i, o in self.adapted_matrices)
         if self.rank >= bound:
             raise ValueError(f"rank {self.rank} must be below the smallest matrix dim {bound}")
 
-
-def default_adapted_matrices(d_model: int, d_ffn: int) -> tuple[tuple[str, int, int], ...]:
-    return (
-        ("q", d_model, d_model), ("k", d_model, d_model),
-        ("v", d_model, d_model), ("o", d_model, d_model),
-        ("gate", d_model, d_ffn), ("up", d_model, d_ffn), ("down", d_ffn, d_model),
-    )
+    @property
+    def adapted_matrices(self) -> tuple[tuple[str, int, int], ...]:
+        """(tag, in_dim, out_dim) of every matrix that receives experts: the
+        four attention projections and the three MLP matrices."""
+        d, f = self.d_model, self.d_ffn
+        return (("q", d, d), ("k", d, d), ("v", d, d), ("o", d, d),
+                ("gate", d, f), ("up", d, f), ("down", f, d))
 
 
 DIMS_PRESETS = {

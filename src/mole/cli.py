@@ -183,10 +183,11 @@ def _load_dataset(resolved: dict) -> TaskData:
 
 
 def _train_loop(model: AdaptedModel, task: TaskData, resolved: dict,
-                metrics_path: Path, domain_tag: str = "") -> list[str]:
+                metrics_path: Path, domain_tag: str = "") -> None:
     """Deterministic training loop with a linearly decaying learning rate.
 
-    Returns the metric CSV rows it appended (step, lr, losses, accuracies).
+    Appends a metrics row (step, lr, losses, accuracies) to `metrics_path` and
+    flushes it as soon as it is logged, so a run that stops early keeps them.
     """
     batch_size = min(resolved["batch_size"], len(task.train))
     steps = resolved["steps"]
@@ -198,27 +199,24 @@ def _train_loop(model: AdaptedModel, task: TaskData, resolved: dict,
                 weight_decay=resolved["weight_decay"])
     rng = Rng(resolved["seed"]).child("train", domain_tag)
     order = Rng(resolved["seed"]).child("batches", domain_tag)
-    rows = []
     target = resolved.get("target_acc")
-    for step in range(steps):
-        frac = step / max(1, steps - 1)
-        lr = lr0 * (1.0 - resolved["lr_decay"] * frac)
-        picks = order.integers(0, len(task.train), size=batch_size)
-        stats = train_step(model, [task.train[i] for i in picks], opt, rng, lr=lr)
-        last = step == steps - 1
-        if (step + 1) % resolved["metrics_every"] == 0 or last:
-            train_acc = evaluate(model, task.train)
-            eval_acc = evaluate(model, task.eval) if task.eval else float("nan")
-            rows.append(",".join([
-                str(step + 1), repr(lr), repr(stats.total_loss),
-                repr(stats.cross_entropy), repr(stats.aux_loss),
-                repr(train_acc), repr(eval_acc)]))
-            if target is not None and train_acc >= target:
-                break
-    with open(metrics_path, "a", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(row + "\n")
-    return rows
+    with open(metrics_path, "a", encoding="utf-8") as log:
+        for step in range(steps):
+            frac = step / max(1, steps - 1)
+            lr = lr0 * (1.0 - resolved["lr_decay"] * frac)
+            picks = order.integers(0, len(task.train), size=batch_size)
+            stats = train_step(model, [task.train[i] for i in picks], opt, rng, lr=lr)
+            last = step == steps - 1
+            if (step + 1) % resolved["metrics_every"] == 0 or last:
+                train_acc = evaluate(model, task.train)
+                eval_acc = evaluate(model, task.eval) if task.eval else float("nan")
+                log.write(",".join([
+                    str(step + 1), repr(lr), repr(stats.total_loss),
+                    repr(stats.cross_entropy), repr(stats.aux_loss),
+                    repr(train_acc), repr(eval_acc)]) + "\n")
+                log.flush()
+                if target is not None and train_acc >= target:
+                    break
 
 
 METRICS_HEADER = "step,lr,total_loss,cross_entropy,aux_loss,train_accuracy,eval_accuracy"

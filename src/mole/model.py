@@ -23,8 +23,8 @@ from .adapters import (
     balance_loss_tensor,
 )
 from .allocation import AllocationPlan, ModelDims, validate
-from .tensor import (NonFiniteError, Rng, Tensor, cross_entropy, matmul, rows_at, silu,
-                     softmax, take_rows)
+from .tensor import (NonFiniteError, Rng, Tensor, cross_entropy, layer_norm, matmul, rows_at,
+                     silu, softmax, take_rows)
 
 LN_EPS = 1e-5
 _NEG_INF = -1e30
@@ -94,18 +94,11 @@ class ForwardResult:
     gates: dict[tuple[int, str], GateBatch] = field(default_factory=dict)
 
 
-def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * (var + LN_EPS).pow(-0.5) * gain + bias
-
-
 class Block:
     """One pre-layer-norm decoder block; all seven linear maps are adapted."""
 
     def __init__(self, config: ToyTransformerConfig, layer_index: int, rng: Rng):
-        d, f = config.d_model, config.d_ffn
+        d = config.d_model
         dtype = config.dtype
         n = config.allocation.counts[layer_index]
         k = config.allocation.k
@@ -116,8 +109,7 @@ class Block:
         self.ln1_bias = Tensor(np.zeros(d, dtype=dtype))
         self.ln2_gain = Tensor(np.ones(d, dtype=dtype))
         self.ln2_bias = Tensor(np.zeros(d, dtype=dtype))
-        shapes = {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
-                  "gate": (d, f), "up": (d, f), "down": (f, d)}
+        shapes = {tag: (i, o) for tag, i, o in config.dims().adapted_matrices}
         self.adapted: dict[str, AdaptedLinear] = {}
         for tag in ADAPTED_TAGS:
             in_dim, out_dim = shapes[tag]
@@ -143,7 +135,7 @@ class Block:
     def forward(self, x: Tensor, mask: np.ndarray, train: bool, rng: Rng | None,
                 adapters_on: bool, gates: dict) -> Tensor:
         batch, seq, d = x.shape
-        u = _layer_norm(x, self.ln1_gain, self.ln1_bias).reshape(batch * seq, d)
+        u = layer_norm(x, self.ln1_gain, self.ln1_bias, LN_EPS).reshape(batch * seq, d)
         q = self._apply("q", u, train, rng, adapters_on, gates)
         k = self._apply("k", u, train, rng, adapters_on, gates)
         v = self._apply("v", u, train, rng, adapters_on, gates)
@@ -161,7 +153,7 @@ class Block:
         o = self._apply("o", ctx, train, rng, adapters_on, gates)
         x = x + o.reshape(batch, seq, d)
 
-        u2 = _layer_norm(x, self.ln2_gain, self.ln2_bias).reshape(batch * seq, d)
+        u2 = layer_norm(x, self.ln2_gain, self.ln2_bias, LN_EPS).reshape(batch * seq, d)
         g = self._apply("gate", u2, train, rng, adapters_on, gates)
         up = self._apply("up", u2, train, rng, adapters_on, gates)
         h = silu(g) * up
@@ -254,7 +246,7 @@ class AdaptedModel:
         gates: dict[tuple[int, str], GateBatch] = {}
         for block in self.blocks:
             x = block.forward(x, mask, train_mode, rng, adapters_on, gates)
-        x = _layer_norm(x, self.final_gain, self.final_bias)
+        x = layer_norm(x, self.final_gain, self.final_bias, LN_EPS)
         flat = x.reshape(batch * seq, self.config.d_model)
         logits = matmul(flat, self.head.transpose()).reshape(batch, seq, self.config.vocab_size)
         if adapters_on:

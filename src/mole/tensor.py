@@ -5,6 +5,12 @@ replays the graph in reverse topological order, accumulating gradients via the
 chain rule. Arrays are 64-bit floats by default; 32-bit is an opt-in mode for
 training runs (gradient checking is only meaningful in 64-bit).
 
+A formula with a closed-form derivative is one op with a hand-written
+backward, not a chain of elementwise ops: softmax, cross-entropy and layer
+norm here; in :mod:`mole.adapters`, the balance loss and the routed expert
+path. The latter also differentiates the router's top-K renormalisation, so
+of a router's outputs only the softmax probabilities are in the graph.
+
 No global state anywhere: randomness comes from an explicit, splittable
 counter-based generator (:class:`Rng`) owned by the caller.
 """
@@ -131,24 +137,11 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        other = _wrap(other, self.dtype)
-        return mul(self, power(other, -1.0))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -161,12 +154,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis, keepdims)
-
-    def pow(self, exponent: float) -> "Tensor":
-        return power(self, exponent)
 
 
 def _wrap(value, dtype) -> Tensor:
@@ -202,14 +189,6 @@ def add(a: Tensor, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(-grad)
-
-    return _make(-a.data, (a,), backward)
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, a.dtype)
     out_data = a.data * b.data
@@ -223,17 +202,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def power(a: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-    out_data = a.data ** exponent
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * exponent * a.data ** (exponent - 1.0))
-
-    return _make(out_data, (a,), backward)
-
-
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x), the gating nonlinearity of the MLP blocks."""
     sig = 1.0 / (1.0 + np.exp(-a.data))
@@ -244,6 +212,29 @@ def silu(a: Tensor) -> Tensor:
             a._accumulate(grad * (sig * (1.0 + a.data * (1.0 - sig))))
 
     return _make(out_data, (a,), backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Normalise each row of `x` over its last axis to zero mean and unit
+    variance, then scale by `gain` and shift by `bias` (both of that axis's
+    size)."""
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    normed = centered * inv_std
+    out_data = normed * gain.data + bias.data
+
+    def backward(grad):
+        if x.requires_grad:
+            g = grad * gain.data
+            x._accumulate(inv_std * (g - g.mean(axis=-1, keepdims=True)
+                                     - normed * (g * normed).mean(axis=-1, keepdims=True)))
+        rows = grad.reshape(-1, grad.shape[-1])
+        if gain.requires_grad:
+            gain._accumulate((rows * normed.reshape(rows.shape)).sum(axis=0))
+        if bias.requires_grad:
+            bias._accumulate(rows.sum(axis=0))
+
+    return _make(out_data, (x, gain, bias), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -302,21 +293,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             if not keepdims and axis is not None:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.shape).copy())
-
-    return _make(out_data, (a,), backward)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-
-    def backward(grad):
-        if a.requires_grad:
-            g = grad
-            if not keepdims and axis is not None:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape) / count)
 
     return _make(out_data, (a,), backward)
 
@@ -412,12 +388,6 @@ def dropout_mask(shape, rate: float, rng: "Rng | None", train: bool,
     if rng is None:
         raise ValueError("dropout in train mode needs an Rng")
     return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
-
-
-def dropout(a: Tensor, rate: float, rng: "Rng | None", train: bool) -> Tensor:
-    """Multiply `a` by a :func:`dropout_mask`; identity when nothing is dropped."""
-    keep = dropout_mask(a.shape, rate, rng, train, a.dtype)
-    return a if keep is None else mul(a, Tensor(keep))
 
 
 # -- randomness --------------------------------------------------------------

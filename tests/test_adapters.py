@@ -241,7 +241,7 @@ class TestAdaptedLinear:
         twin.in_factor.data[:] = first.in_factor.data
         layer.router.weight.data[:] = 0.0     # equal fusion weights 1/2, 1/2
         out, gate = layer.forward(Tensor(Rng(59).normal((4, 6))), train=True, rng=Rng(60))
-        np.testing.assert_array_equal(gate.fusion.data, 0.5)
+        np.testing.assert_array_equal(gate.fusion, 0.5)
         (out * Tensor(Rng(61).normal(out.shape))).sum().backward()
         assert np.any(np.abs(first.in_factor.grad - twin.in_factor.grad) > 1e-6)
 
@@ -360,7 +360,7 @@ def test_adapted_layer_grad_check_tied_router_logits():
 
     _, gate = layer.forward(x)
     np.testing.assert_array_equal(gate.selected, [[0, 1]] * 3)
-    np.testing.assert_array_equal(gate.fusion.data, [[0.5, 0.5, 0.0, 0.0]] * 3)
+    np.testing.assert_array_equal(gate.fusion, [[0.5, 0.5, 0.0, 0.0]] * 3)
     params = {name: p for name, p in layer.named_parameters().items() if name != "router"}
     result = grad_check(f, dict(params, x=x), step=1e-5, tolerance=1e-5)
     assert result.passed, result.summary()

@@ -90,6 +90,25 @@ class TestTrain:
         run_dir = next((tmp_path / "runs").iterdir())
         assert load(run_dir / "model.ckpt").step == 0
 
+    def test_diverged_run_keeps_logged_metrics(self, tmp_path, monkeypatch, capsys):
+        # a run that diverges at step 30 still leaves its step-25 row on disk
+        import mole.cli
+        from mole.model import TrainingDiverged
+
+        step = mole.cli.train_step
+
+        def diverge_at_30(model, *args, **kwargs):
+            if model.step == 29:
+                raise TrainingDiverged("injected divergence at step 30")
+            return step(model, *args, **kwargs)
+
+        monkeypatch.setattr(mole.cli, "train_step", diverge_at_30)
+        assert run_cli(*train_args(tmp_path, steps="40", **{"metrics-every": "25"})) == 2
+        assert "injected divergence" in capsys.readouterr().err
+        run_dir = next((tmp_path / "runs").iterdir())
+        rows = list(csv.DictReader((run_dir / "metrics.csv").open()))
+        assert [row["step"] for row in rows] == ["25"]
+
     def test_seed_mandatory(self, tmp_path, capsys):
         argv = [a for a in train_args(tmp_path)]
         i = argv.index("--seed")

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from mole.allocation import AllocationPlan, trainable_param_count
+from mole.allocation import AllocationPlan, parse_alloc_spec, trainable_param_count
 from mole.model import (
     AdamW,
     AdaptedModel,
@@ -273,6 +273,41 @@ class TestTraining:
         model = AdaptedModel.build(tiny_config())
         with pytest.raises(ValueError, match="empty"):
             train_step(model, [], AdamW(model.trainable_parameters()), Rng(0))
+
+
+class TestGraphSize:
+    @staticmethod
+    def ops_per_step(alloc: str, k: int, monkeypatch) -> int:
+        """Tensors with a backward reachable from the loss of one training
+        step at the default dims, on a 25-example copy batch."""
+        counts = []
+        backward = Tensor.backward
+
+        def counted(root):
+            seen, todo, ops = {id(root)}, [root], 0
+            while todo:
+                node = todo.pop()
+                ops += node._backward is not None
+                for parent in node._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        todo.append(parent)
+            counts.append(ops)
+            backward(root)
+
+        monkeypatch.setattr(Tensor, "backward", counted)
+        model = AdaptedModel(ToyTransformerConfig(allocation=parse_alloc_spec(alloc, 4, k=k),
+                                                  seed=1))
+        batch = generate_task("copy", 32, seed=1).train[:25]
+        train_step(model, batch, AdamW(model.trainable_parameters()), Rng(2))
+        return counts[0]
+
+    def test_ops_per_step_small_and_independent_of_allocation(self, monkeypatch):
+        ops = {(alloc, k): self.ops_per_step(alloc, k, monkeypatch)
+               for alloc in ("counts=2,2,2,2", "inverted:2468", "counts=8,8,8,8")
+               for k in (1, 2)}
+        assert len(set(ops.values())) == 1, ops
+        assert max(ops.values()) <= 300, ops
 
 
 class TestGradients:
