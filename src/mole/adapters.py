@@ -8,12 +8,13 @@ most probable experts per token and fuses their outputs with renormalized
 softmax weights. A switch-style load-balancing loss keeps expert workloads
 equitable.
 
-The expert path of a matrix is one grouped dispatch (:func:`routed_lora`):
-each expert that some token selected runs only on the rows routed to it, so
-the work grows with K, not with the expert count N, and the graph records one
-node whatever N is. That node also differentiates the top-K renormalisation,
-so a router adds two nodes to the graph, its logits and their softmax, and the
-balance loss one more. An expert that no token selected is never run and its
+An adapted matrix is one op (:func:`routed_lora`): the frozen product plus
+a grouped dispatch in which each expert that some token selected runs only on
+the rows routed to it, so the work grows with K, not with the expert count N.
+That op also differentiates the top-K renormalisation, so an adapted matrix
+records three graph nodes whatever N is: its router's logits, their softmax,
+and the routed op. The balance loss is one more node per forward, over all
+routers at once. An expert that no token selected is never run and its
 factors receive no gradient. Dropout is one mask draw per matrix, one mask per
 (token, selection slot), so two identical experts still see different masks.
 """
@@ -36,22 +37,20 @@ EXPERT_INIT_STD = 0.02
 class GateBatch:
     """One router's decisions for a token batch.
 
-    `fusion` (tokens, num_experts) carries the renormalized weights with exact
-    zeros at unselected experts; `probs` is the dense softmax; `selected`
-    (tokens, K) lists chosen expert indices in ascending order. Only `probs`
-    is in the autodiff graph: `fusion` is a plain array, and
-    :func:`routed_lora` sends its gradient through the renormalisation to
-    `probs`.
+    `selected` (tokens, K) lists the chosen expert indices in ascending order
+    and `weights` (tokens, K) their probabilities renormalised to sum to one;
+    `probs` is the dense (tokens, num_experts) softmax. Only `probs` is in the
+    autodiff graph: `weights` is a plain array, and :func:`routed_lora` sends
+    its gradient through the renormalisation to `probs`.
     """
 
-    fusion: np.ndarray
-    probs: Tensor
     selected: np.ndarray
+    weights: np.ndarray
+    probs: Tensor
 
     def outcome(self, token: int) -> "RoutingOutcome":
-        idx = tuple(int(i) for i in self.selected[token])
-        return RoutingOutcome(selected=idx,
-                              weights=self.fusion[token, list(idx)].copy(),
+        return RoutingOutcome(selected=tuple(int(i) for i in self.selected[token]),
+                              weights=self.weights[token].copy(),
                               full_softmax=self.probs.data[token].copy())
 
     def outcomes(self) -> list["RoutingOutcome"]:
@@ -163,9 +162,9 @@ class Router:
     def gate(self, x: Tensor) -> "GateBatch":
         """Gate a batch of tokens x (tokens, in_dim); see :class:`GateBatch`.
 
-        The softmax `probs` is the gate's only graph node. `fusion`, the
-        selected probabilities renormalised to sum to one, is a plain array;
-        :func:`routed_lora` differentiates it.
+        The logits and their softmax `probs` are the gate's graph nodes.
+        `weights`, the selected probabilities renormalised to sum to one, is a
+        plain array; :func:`routed_lora` differentiates it.
         """
         logits = matmul(x, self.weight)                     # (tokens, N)
         try:
@@ -177,9 +176,7 @@ class Router:
         order = np.argsort(-probs.data, axis=-1, kind="stable")
         selected = np.sort(order[:, : self.k], axis=-1)
         kept = np.take_along_axis(probs.data, selected, axis=-1)
-        fusion = np.zeros_like(probs.data)
-        np.put_along_axis(fusion, selected, kept / kept.sum(axis=-1, keepdims=True), axis=-1)
-        return GateBatch(fusion=fusion, probs=probs, selected=selected)
+        return GateBatch(selected, kept / kept.sum(axis=-1, keepdims=True), probs)
 
     def route(self, x) -> RoutingOutcome:
         """Route a single token vector and report the decision."""
@@ -201,54 +198,59 @@ def load_balance_loss(outcomes: list[RoutingOutcome]) -> float:
     """
     if not outcomes:
         raise ValueError("load_balance_loss needs at least one routing outcome")
-    probs = np.stack([o.full_softmax for o in outcomes])
-    selected = np.array([o.selected for o in outcomes])
-    # The balance loss reads only probs and selected; fusion is a stand-in.
-    return balance_loss_tensor(
-        GateBatch(fusion=probs, probs=Tensor(probs), selected=selected)).item()
+    gate = GateBatch(np.array([o.selected for o in outcomes]),
+                     np.array([o.weights for o in outcomes]),
+                     Tensor(np.stack([o.full_softmax for o in outcomes])))
+    return balance_loss_tensor([gate]).item()
 
 
-def balance_loss_tensor(gate: GateBatch) -> Tensor:
-    """Differentiable twin of :func:`load_balance_loss` for one router batch,
-    as one op.
+def balance_loss_tensor(gates: list[GateBatch]) -> Tensor:
+    """Differentiable twin of :func:`load_balance_loss`: the mean over the R
+    routers of `gates` of each one's N * sum_i f_i * P_i, as one op, so a
+    forward records one balance node.
 
     The dispatch fractions f are constants (selection is discrete); gradient
-    flows through the mean probabilities only, so each probability p[t, i]
-    receives N * f_i / T, reaching every expert column of the router weight.
+    flows through the mean probabilities only, so each probability p[t, i] of
+    a router with N experts and T tokens receives N * f_i / (T * R), reaching
+    every expert column of the router weight.
     """
-    probs, selected = gate.probs, gate.selected
-    tokens, num_experts = probs.shape
-    counts = np.bincount(selected.reshape(-1), minlength=num_experts).astype(probs.dtype)
-    dispatch_frac = counts / selected.size
-    out = np.asarray((probs.data.mean(axis=0) * dispatch_frac).sum() * float(num_experts),
-                     dtype=probs.dtype)
+    share = 1.0 / len(gates)
+    total, coefs = 0.0, []
+    for gate in gates:
+        tokens, num_experts = gate.probs.shape
+        counts = np.bincount(gate.selected.reshape(-1), minlength=num_experts)
+        dispatch_frac = counts.astype(gate.probs.dtype) / gate.selected.size
+        total += (gate.probs.data.mean(axis=0) * dispatch_frac).sum() * float(num_experts)
+        coefs.append(dispatch_frac * (num_experts * share / tokens))
+    probs = tuple(gate.probs for gate in gates)
 
     def backward(grad):
-        if probs.requires_grad:
-            probs._accumulate(np.broadcast_to(
-                grad * float(num_experts) / tokens * dispatch_frac, probs.shape))
+        for p, coef in zip(probs, coefs):
+            if p.requires_grad:
+                p._accumulate(np.broadcast_to(grad * coef, p.shape))
 
-    return _make(out, (probs,), backward)
+    return _make(np.asarray(total * share, dtype=probs[0].dtype), probs, backward)
 
 
-def routed_lora(x: Tensor, gate: GateBatch, experts: list[LoraExpert],
+def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[LoraExpert],
                 keep: np.ndarray | None, scale: float) -> Tensor:
-    """Sum of each token's selected expert updates, weighted by fusion * scale.
+    """One adapted matrix: x @ frozen.T plus each token's selected expert
+    updates, weighted by the gate's renormalised weights times `scale`.
 
     For each expert i that some token selected, with (tok, slot) the places
     where ``gate.selected == i``, the output rows tok receive
-    fusion[tok, i] * scale * (x[tok] * keep[tok, slot]) @ A_i.T @ B_i.T, with
-    A the in-factor and B the out-factor. `keep` is the (tokens, K, in_dim)
-    dropout mask, or None for no dropout. An expert whose rows are all the
-    tokens skips the gather and the scatter.
+    weights[tok, slot] * scale * (x[tok] * keep[tok, slot]) @ A_i.T @ B_i.T,
+    with A the in-factor and B the out-factor. `keep` is the (tokens, K,
+    in_dim) dropout mask, or None for no dropout. An expert whose rows are all
+    the tokens skips the gather and the scatter.
 
-    The parents are x, `gate.probs` and the routed experts' factors; `fusion`
-    is a plain array. The backward sends gradients to x, to each routed
-    expert's factors and, through the renormalisation, to the selected
-    probabilities: for a token with selected set S,
-    dp_S = (dfusion_S - <dfusion_S, fusion_S>) / sum(p_S).
+    The parents are x, `gate.probs` and the routed experts' factors; `frozen`
+    and `weights` are plain arrays. The backward sends gradients to x (from
+    grad @ frozen on), to each routed expert's factors and, through the
+    renormalisation, to the selected probabilities: for a token with selected
+    set S, weights w and dw = d loss / d w, dp_S = (dw - <dw, w>) / sum(p_S).
     """
-    fusion, probs, selected = gate.fusion, gate.probs, gate.selected
+    weights, probs, selected = gate.weights, gate.probs, gate.selected
     tokens, k = selected.shape
     # Group the (token, slot) pairs by expert. The sort is stable, so each
     # group lists its tokens in ascending order, at most once each.
@@ -256,9 +258,9 @@ def routed_lora(x: Tensor, gate: GateBatch, experts: list[LoraExpert],
     tok, slot = np.divmod(order, k)
     expert_of = selected.reshape(-1)[order]
     bounds = np.searchsorted(expert_of, np.arange(len(experts) + 1))
-    weight = (fusion[tok, expert_of] * scale)[:, None]
+    weight = (weights[tok, slot] * scale)[:, None]
     mask = None if keep is None else keep[tok, slot]
-    out = np.zeros((tokens, experts[0].out_dim), dtype=x.dtype)
+    out = x.data @ frozen.T
     routes = []
     for i in np.flatnonzero(np.diff(bounds)):
         a, b = bounds[i], bounds[i + 1]
@@ -272,7 +274,7 @@ def routed_lora(x: Tensor, gate: GateBatch, experts: list[LoraExpert],
         routes.append((experts[i], a, b, at, rows, low))
 
     def backward(grad):
-        dx = np.zeros_like(x.data) if x.requires_grad else None
+        dx = grad @ frozen if x.requires_grad else None
         dweight = np.empty(order.size, dtype=x.dtype)   # d loss / d weight, per pair
         for expert, a, b, at, rows, low in routes:
             g = grad[at]
@@ -289,10 +291,9 @@ def routed_lora(x: Tensor, gate: GateBatch, experts: list[LoraExpert],
         if dx is not None:
             x._accumulate(dx)
         if probs.requires_grad:
-            dsel = np.empty(selected.shape, dtype=x.dtype)     # d loss / d fusion_S
+            dsel = np.empty(selected.shape, dtype=x.dtype)     # d loss / d weights
             dsel[tok, slot] = scale * dweight
-            dsel -= (dsel * np.take_along_axis(fusion, selected, axis=-1)).sum(
-                axis=-1, keepdims=True)
+            dsel -= (dsel * weights).sum(axis=-1, keepdims=True)
             dsel /= np.take_along_axis(probs.data, selected, axis=-1).sum(
                 axis=-1, keepdims=True)                     # now d loss / d p_S
             dprobs = np.zeros_like(probs.data)
@@ -312,11 +313,12 @@ class AdaptedLinear:
     matrix.
 
     For tokens x the output is x @ frozen.T plus, for each token and each of
-    its K selected experts i, fusion[token, i] * (alpha / rank) *
-    dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors and B the
-    out-factors. The expert path is grouped by expert (:func:`routed_lora`):
-    each expert runs once, on the rows routed to it, so an adapted matrix costs
-    O(K) expert rows per token whatever its expert count.
+    its K selected experts i, the expert's renormalised weight times
+    (alpha / rank) * dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors
+    and B the out-factors. The whole formula is one op (:func:`routed_lora`),
+    grouped by expert: each expert runs once, on the rows routed to it, so an
+    adapted matrix costs O(K) expert rows per token whatever its expert count,
+    and records three graph nodes (router logits, softmax, routed op).
     """
 
     def __init__(self, frozen_weight: np.ndarray, experts: list[LoraExpert],
@@ -351,12 +353,11 @@ class AdaptedLinear:
         assemble balance losses and routing statistics. The frozen path sees
         the undropped input; dropout applies on the adapter path only.
         """
-        out = matmul(x, self.frozen.transpose())
         gate = self.router.gate(x)
         first = self.experts[0]
         keep = dropout_mask((x.shape[0], self.router.k, self.in_dim), first.dropout_rate,
                             rng, train, x.dtype)
-        return out + routed_lora(x, gate, self.experts, keep, first.scaling), gate
+        return routed_lora(x, self.frozen.data, gate, self.experts, keep, first.scaling), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         params = {f"{prefix}frozen": self.frozen, f"{prefix}router": self.router.weight}

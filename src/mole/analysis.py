@@ -212,8 +212,7 @@ def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
             entry.tokens += tokens
             counts = np.bincount(gate.selected.reshape(-1), minlength=n)
             sums = np.zeros(n)
-            np.add.at(sums, gate.selected.reshape(-1),
-                      np.take_along_axis(gate.fusion, gate.selected, axis=1).reshape(-1))
+            np.add.at(sums, gate.selected.reshape(-1), gate.weights.reshape(-1))
             for i in range(n):
                 entry.selection_counts[i] += int(counts[i])
                 entry.weight_sums[i] += float(sums[i])

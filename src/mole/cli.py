@@ -128,6 +128,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             merged[key] = value
     if merged.get("seed") is None:
         raise UsageError("a seed is mandatory (--seed or config file)")
+    for key in ("batch_size", "metrics_every", "cutoff_len"):
+        if merged[key] < 1:
+            raise UsageError(f"{key} must be at least 1, got {merged[key]}")
     return merged
 
 

@@ -249,14 +249,9 @@ class AdaptedModel:
         x = layer_norm(x, self.final_gain, self.final_bias, LN_EPS)
         flat = x.reshape(batch * seq, self.config.d_model)
         logits = matmul(flat, self.head.transpose()).reshape(batch, seq, self.config.vocab_size)
-        if adapters_on:
-            losses = [balance_loss_tensor(gate) for gate in gates.values()]
-            aux = losses[0]
-            for term in losses[1:]:
-                aux = aux + term
-            aux = aux * (1.0 / len(losses))  # mean over routers: scale-stable across allocations
-        else:
-            aux = Tensor(np.zeros((), dtype=self.config.dtype))
+        # the mean over routers: scale-stable across allocations
+        aux = balance_loss_tensor(list(gates.values())) if adapters_on \
+            else Tensor(np.zeros((), dtype=self.config.dtype))
         if squeeze:
             logits = logits.reshape(seq, self.config.vocab_size)
         return ForwardResult(logits=logits, aux_loss=aux, gates=gates)

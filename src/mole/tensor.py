@@ -7,9 +7,9 @@ training runs (gradient checking is only meaningful in 64-bit).
 
 A formula with a closed-form derivative is one op with a hand-written
 backward, not a chain of elementwise ops: softmax, cross-entropy and layer
-norm here; in :mod:`mole.adapters`, the balance loss and the routed expert
-path. The latter also differentiates the router's top-K renormalisation, so
-of a router's outputs only the softmax probabilities are in the graph.
+norm here; in :mod:`mole.adapters`, an adapted matrix (frozen product, routed
+experts and top-K renormalisation: three nodes with its router's logits and
+softmax) and the balance loss over all routers (one node per forward).
 
 No global state anywhere: randomness comes from an explicit, splittable
 counter-based generator (:class:`Rng`) owned by the caller.

@@ -241,7 +241,7 @@ class TestAdaptedLinear:
         twin.in_factor.data[:] = first.in_factor.data
         layer.router.weight.data[:] = 0.0     # equal fusion weights 1/2, 1/2
         out, gate = layer.forward(Tensor(Rng(59).normal((4, 6))), train=True, rng=Rng(60))
-        np.testing.assert_array_equal(gate.fusion, 0.5)
+        np.testing.assert_array_equal(gate.weights, 0.5)
         (out * Tensor(Rng(61).normal(out.shape))).sum().backward()
         assert np.any(np.abs(first.in_factor.grad - twin.in_factor.grad) > 1e-6)
 
@@ -306,13 +306,13 @@ class TestLoadBalanceLoss:
         x = Tensor(Rng(62).normal((5, 4)))
         gate = router.gate(x)
         plain = load_balance_loss(gate.outcomes())
-        twin = balance_loss_tensor(gate)
+        twin = balance_loss_tensor([gate])
         assert twin.item() == pytest.approx(plain, abs=1e-12)
 
     def test_balance_gradient_reaches_all_router_columns(self):
         router = make_router(3, 1, seed=63, in_dim=4)
         x = Tensor(Rng(64).normal((6, 4)))
-        loss = balance_loss_tensor(router.gate(x))
+        loss = balance_loss_tensor([router.gate(x)])
         loss.backward()
         grad_by_column = np.abs(router.weight.grad).sum(axis=0)
         assert np.all(grad_by_column > 0)
@@ -332,7 +332,7 @@ def test_full_adapted_layer_grad_check(num_experts, k):
 
     def f():
         out, gate = layer.forward(x, train=True, rng=Rng(74).child("drop"))
-        return cross_entropy(out, targets) + 0.01 * balance_loss_tensor(gate)
+        return cross_entropy(out, targets) + 0.01 * balance_loss_tensor([gate])
 
     params = dict(layer.named_parameters(), x=x)
     result = grad_check(f, params, step=1e-5, tolerance=1e-5)
@@ -360,7 +360,7 @@ def test_adapted_layer_grad_check_tied_router_logits():
 
     _, gate = layer.forward(x)
     np.testing.assert_array_equal(gate.selected, [[0, 1]] * 3)
-    np.testing.assert_array_equal(gate.fusion, [[0.5, 0.5, 0.0, 0.0]] * 3)
+    np.testing.assert_array_equal(gate.weights, [[0.5, 0.5]] * 3)
     params = {name: p for name, p in layer.named_parameters().items() if name != "router"}
     result = grad_check(f, dict(params, x=x), step=1e-5, tolerance=1e-5)
     assert result.passed, result.summary()

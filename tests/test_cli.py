@@ -109,6 +109,26 @@ class TestTrain:
         rows = list(csv.DictReader((run_dir / "metrics.csv").open()))
         assert [row["step"] for row in rows] == ["25"]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value", [("batch_size", "0"), ("metrics_every", "0"),
+                                            ("cutoff_len", "0"), ("cutoff_len", "-2")])
+    def test_non_positive_run_lengths_rejected(self, tmp_path, capsys, source, key, value):
+        # rejected before the run directory exists, from a flag or a config file
+        flag = "--" + key.replace("_", "-")
+        argv = train_args(tmp_path)
+        if flag in argv:
+            i = argv.index(flag)
+            del argv[i:i + 2]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_seed_mandatory(self, tmp_path, capsys):
         argv = [a for a in train_args(tmp_path)]
         i = argv.index("--seed")
