@@ -345,18 +345,18 @@ class AdaptedLinear:
         self.in_dim = in_dim
         self.out_dim = out_dim
 
-    def forward(self, x: Tensor, train: bool = False, rng: Rng | None = None
-                ) -> tuple[Tensor, GateBatch]:
+    def forward(self, x: Tensor, rng: Rng | None = None) -> tuple[Tensor, GateBatch]:
         """Apply the layer to a token batch x (tokens, in_dim).
 
         Returns the output and the :class:`GateBatch` so the caller can
-        assemble balance losses and routing statistics. The frozen path sees
-        the undropped input; dropout applies on the adapter path only.
+        assemble balance losses and routing statistics. An `rng` turns dropout
+        on; it applies on the adapter path only, and the frozen path sees the
+        undropped input.
         """
         gate = self.router.gate(x)
         first = self.experts[0]
         keep = dropout_mask((x.shape[0], self.router.k, self.in_dim), first.dropout_rate,
-                            rng, train, x.dtype)
+                            rng, x.dtype)
         return routed_lora(x, self.frozen.data, gate, self.experts, keep, first.scaling), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
@@ -367,11 +367,11 @@ class AdaptedLinear:
         return params
 
 
-def adapted_forward(layer: AdaptedLinear, x, train: bool = False,
-                    rng: Rng | None = None) -> tuple[np.ndarray, RoutingOutcome]:
+def adapted_forward(layer: AdaptedLinear, x, rng: Rng | None = None
+                    ) -> tuple[np.ndarray, RoutingOutcome]:
     """Single-vector convenience: apply `layer` to one token, with its routing."""
     vec = np.asarray(x, dtype=layer.frozen.dtype)
     if vec.shape != (layer.in_dim,):
         raise ValueError(f"expected input of shape ({layer.in_dim},), got {vec.shape}")
-    out, gate = layer.forward(Tensor(vec[None, :]), train=train, rng=rng)
+    out, gate = layer.forward(Tensor(vec[None, :]), rng=rng)
     return out.data[0], gate.outcome(0)

@@ -128,9 +128,12 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             merged[key] = value
     if merged.get("seed") is None:
         raise UsageError("a seed is mandatory (--seed or config file)")
-    for key in ("batch_size", "metrics_every", "cutoff_len"):
-        if merged[key] < 1:
-            raise UsageError(f"{key} must be at least 1, got {merged[key]}")
+    for key, low in (("batch_size", 1), ("metrics_every", 1), ("cutoff_len", 1),
+                     ("steps", 0), ("epochs", 0)):
+        if merged[key] is not None and merged[key] < low:
+            raise UsageError(f"{key} must be at least {low}, got {merged[key]}")
+    if not 0.0 <= merged["lr_decay"] <= 1.0:
+        raise UsageError(f"lr_decay must be in [0, 1], got {merged['lr_decay']}")
     return merged
 
 
@@ -185,12 +188,17 @@ def _load_dataset(resolved: dict) -> TaskData:
                      f"{TASK_KINDS} or jsonl:PATH")
 
 
+def _accuracies(model: AdaptedModel, task: TaskData) -> tuple[float, float]:
+    return evaluate(model, task.train), evaluate(model, task.eval) if task.eval else float("nan")
+
+
 def _train_loop(model: AdaptedModel, task: TaskData, resolved: dict,
-                metrics_path: Path, domain_tag: str = "") -> None:
+                metrics_path: Path, domain_tag: str = "") -> tuple[float, float] | None:
     """Deterministic training loop with a linearly decaying learning rate.
 
     Appends a metrics row (step, lr, losses, accuracies) to `metrics_path` and
     flushes it as soon as it is logged, so a run that stops early keeps them.
+    Returns the last row's (train, eval) accuracies, None if none was logged.
     """
     batch_size = min(resolved["batch_size"], len(task.train))
     steps = resolved["steps"]
@@ -203,6 +211,7 @@ def _train_loop(model: AdaptedModel, task: TaskData, resolved: dict,
     rng = Rng(resolved["seed"]).child("train", domain_tag)
     order = Rng(resolved["seed"]).child("batches", domain_tag)
     target = resolved.get("target_acc")
+    accuracies = None
     with open(metrics_path, "a", encoding="utf-8") as log:
         for step in range(steps):
             frac = step / max(1, steps - 1)
@@ -211,8 +220,7 @@ def _train_loop(model: AdaptedModel, task: TaskData, resolved: dict,
             stats = train_step(model, [task.train[i] for i in picks], opt, rng, lr=lr)
             last = step == steps - 1
             if (step + 1) % resolved["metrics_every"] == 0 or last:
-                train_acc = evaluate(model, task.train)
-                eval_acc = evaluate(model, task.eval) if task.eval else float("nan")
+                train_acc, eval_acc = accuracies = _accuracies(model, task)
                 log.write(",".join([
                     str(step + 1), repr(lr), repr(stats.total_loss),
                     repr(stats.cross_entropy), repr(stats.aux_loss),
@@ -220,6 +228,7 @@ def _train_loop(model: AdaptedModel, task: TaskData, resolved: dict,
                 log.flush()
                 if target is not None and train_acc >= target:
                     break
+    return accuracies
 
 
 METRICS_HEADER = "step,lr,total_loss,cross_entropy,aux_loss,train_accuracy,eval_accuracy"
@@ -251,14 +260,13 @@ def cmd_train(args) -> int:
     metrics_path = run_dir / "metrics.csv"
     model = AdaptedModel.build(config)
     try:
-        _train_loop(model, task, resolved, metrics_path)
+        accuracies = _train_loop(model, task, resolved, metrics_path)
     except TrainingDiverged as err:
         print(f"training halted: {err}", file=sys.stderr)
         save(model, run_dir / "model.ckpt")
         return 2
     save(model, run_dir / "model.ckpt")
-    train_acc = evaluate(model, task.train)
-    eval_acc = evaluate(model, task.eval) if task.eval else float("nan")
+    train_acc, eval_acc = accuracies or _accuracies(model, task)
     summary = {"train_accuracy": train_acc, "eval_accuracy": eval_acc,
                "steps_taken": model.step}
     (run_dir / "summary.json").write_text(

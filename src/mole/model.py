@@ -123,22 +123,22 @@ class Block:
                             rng=rng.child("router", tag), dtype=dtype)
             self.adapted[tag] = AdaptedLinear(w0, experts, router)
 
-    def _apply(self, tag: str, x: Tensor, train: bool, rng: Rng | None,
-               adapters_on: bool, gates: dict) -> Tensor:
+    def _apply(self, tag: str, x: Tensor, rng: Rng | None, adapters_on: bool,
+               gates: dict) -> Tensor:
         layer = self.adapted[tag]
         if not adapters_on:
             return matmul(x, layer.frozen.transpose())
-        out, gate = layer.forward(x, train=train, rng=rng)
+        out, gate = layer.forward(x, rng=rng)
         gates[(self.layer_index, tag)] = gate
         return out
 
-    def forward(self, x: Tensor, mask: np.ndarray, train: bool, rng: Rng | None,
+    def forward(self, x: Tensor, mask: np.ndarray, rng: Rng | None,
                 adapters_on: bool, gates: dict) -> Tensor:
         batch, seq, d = x.shape
         u = layer_norm(x, self.ln1_gain, self.ln1_bias, LN_EPS).reshape(batch * seq, d)
-        q = self._apply("q", u, train, rng, adapters_on, gates)
-        k = self._apply("k", u, train, rng, adapters_on, gates)
-        v = self._apply("v", u, train, rng, adapters_on, gates)
+        q = self._apply("q", u, rng, adapters_on, gates)
+        k = self._apply("k", u, rng, adapters_on, gates)
+        v = self._apply("v", u, rng, adapters_on, gates)
 
         def heads(t: Tensor) -> Tensor:
             return t.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
@@ -150,14 +150,14 @@ class Block:
         except NonFiniteError as err:
             raise NonFiniteError(f"attention (layer {self.layer_index}): {err}") from err
         ctx = matmul(attn, vh).transpose(0, 2, 1, 3).reshape(batch * seq, d)
-        o = self._apply("o", ctx, train, rng, adapters_on, gates)
+        o = self._apply("o", ctx, rng, adapters_on, gates)
         x = x + o.reshape(batch, seq, d)
 
         u2 = layer_norm(x, self.ln2_gain, self.ln2_bias, LN_EPS).reshape(batch * seq, d)
-        g = self._apply("gate", u2, train, rng, adapters_on, gates)
-        up = self._apply("up", u2, train, rng, adapters_on, gates)
+        g = self._apply("gate", u2, rng, adapters_on, gates)
+        up = self._apply("up", u2, rng, adapters_on, gates)
         h = silu(g) * up
-        down = self._apply("down", h, train, rng, adapters_on, gates)
+        down = self._apply("down", h, rng, adapters_on, gates)
         return x + down.reshape(batch, seq, d)
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
@@ -227,25 +227,22 @@ class AdaptedModel:
             raise ValueError(f"token ids out of range for vocab {self.config.vocab_size}")
         return ids.astype(np.intp), squeeze
 
-    def forward(self, token_ids, train_mode: bool = False, rng: Rng | None = None,
+    def forward(self, token_ids, rng: Rng | None = None,
                 adapters_on: bool = True) -> ForwardResult:
         """Causal next-token logits plus the mean balance loss over routers.
 
-        `rng` is only needed for dropout in train mode. A train-mode forward
-        consumes it: the adapted matrices draw their dropout masks from it in
-        a fixed order, so pass a fresh stream per forward. Logits keep the
-        input's batch arrangement: (seq, vocab) for a flat sequence,
-        (batch, seq, vocab) for a batch.
+        An `rng` turns dropout on, and the forward consumes it: the adapted
+        matrices draw their dropout masks from it in a fixed order. Without
+        one the forward is deterministic. Logits keep the input's batch shape:
+        (seq, vocab) for a flat sequence, (batch, seq, vocab) for a batch.
         """
         ids, squeeze = self._check_tokens(token_ids)
         batch, seq = ids.shape
-        if train_mode and self.config.dropout > 0 and rng is None:
-            raise ValueError("train-mode forward with dropout needs an rng")
         x = take_rows(self.tok_emb, ids) + take_rows(self.pos_emb, np.arange(seq))
         mask = np.triu(np.full((seq, seq), _NEG_INF, dtype=self.config.dtype), k=1)
         gates: dict[tuple[int, str], GateBatch] = {}
         for block in self.blocks:
-            x = block.forward(x, mask, train_mode, rng, adapters_on, gates)
+            x = block.forward(x, mask, rng, adapters_on, gates)
         x = layer_norm(x, self.final_gain, self.final_bias, LN_EPS)
         flat = x.reshape(batch * seq, self.config.d_model)
         logits = matmul(flat, self.head.transpose()).reshape(batch, seq, self.config.vocab_size)
@@ -307,34 +304,31 @@ class StepStats:
     aux_loss: float
 
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not batch:
-        raise ValueError("training batch is empty")
-    lengths = {len(ex.prompt) for ex in batch}
-    if len(lengths) != 1:
-        raise ValueError(f"batch mixes prompt lengths {sorted(lengths)}")
-    ids = np.array([ex.prompt for ex in batch], dtype=np.intp)
-    labels = np.array([ex.label for ex in batch], dtype=np.intp)
-    positions = np.full(len(batch), ids.shape[1] - 1, dtype=np.intp)
-    return ids, labels, positions
-
-
 def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
                lr: float | None = None) -> StepStats:
-    """One optimization step on a batch of examples.
+    """One optimization step on a batch of B examples, one forward per prompt
+    length (:func:`length_batches`), each drawing dropout from the step's rng.
 
-    The loss is answer-position cross-entropy plus lambda_aux times the mean
-    balance loss. A non-finite loss aborts the step (parameters untouched).
+    A group of n_g examples adds n_g/B times its answer-position cross-entropy
+    plus lambda_aux times its mean balance loss, so the cross-entropy is the
+    mean over all B examples. A non-finite loss aborts the step before any update.
     """
-    ids, labels, positions = _batch_arrays(batch)
+    if not batch:
+        raise ValueError("training batch is empty")
     step_rng = rng.child("step", model.step)
-    try:
-        result = model.forward(ids, train_mode=True, rng=step_rng)
-    except NonFiniteError as err:
-        raise TrainingDiverged(f"non-finite values at step {model.step}: {err}") from err
-    answer_logits = rows_at(result.logits, positions)
-    ce = cross_entropy(answer_logits, labels)
-    total = ce + result.aux_loss * model.config.lambda_aux
+    total, ce, aux = None, 0.0, 0.0
+    for group, ids in length_batches(batch):
+        try:
+            result = model.forward(ids, rng=step_rng)
+        except NonFiniteError as err:
+            raise TrainingDiverged(f"non-finite values at step {model.step}: {err}") from err
+        answers = rows_at(result.logits, np.full(len(group), ids.shape[1] - 1))
+        group_ce = cross_entropy(answers, np.array([ex.label for ex in group], dtype=np.intp))
+        share = len(group) / len(batch)
+        loss = (group_ce + result.aux_loss * model.config.lambda_aux) * share
+        total = loss if total is None else total + loss
+        ce += share * float(group_ce.data)
+        aux += share * float(result.aux_loss.data)
     if not np.isfinite(total.data):
         # softmax rejects non-finite router probabilities, so the balance
         # loss is finite here and only the cross-entropy can have diverged
@@ -344,8 +338,7 @@ def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
     total.backward()
     optimizer.step(lr=lr)
     model.step += 1
-    return StepStats(total_loss=float(total.data), cross_entropy=float(ce.data),
-                     aux_loss=float(result.aux_loss.data))
+    return StepStats(total_loss=float(total.data), cross_entropy=ce, aux_loss=aux)
 
 
 def length_batches(examples):

@@ -376,17 +376,16 @@ def cross_entropy(logits: Tensor, target_index) -> Tensor:
     return _make(out_data, (logits,), backward)
 
 
-def dropout_mask(shape, rate: float, rng: "Rng | None", train: bool,
+def dropout_mask(shape, rate: float, rng: "Rng | None",
                  dtype=np.float64) -> np.ndarray | None:
-    """Inverted-dropout keep mask of `shape`: kept entries are 1/(1-rate),
-    dropped ones 0. None at eval time or at rate 0, where nothing is dropped,
-    so the inference path stays deterministic."""
-    if not train or rate <= 0.0:
+    """Inverted-dropout keep mask of `shape`, drawn from `rng`: kept entries
+    are 1/(1-rate), dropped ones 0. An rng is what turns dropout on: None
+    without one or at rate 0, where nothing is dropped, so the inference path
+    stays deterministic."""
+    if rng is None or rate <= 0.0:
         return None
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None:
-        raise ValueError("dropout in train mode needs an Rng")
     return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 

@@ -108,7 +108,7 @@ def test_gradient_oracle_small_model():
     labels = np.array([5])
 
     def loss():
-        result = model.forward(ids, train_mode=True, rng=Rng(25).child("drop"))
+        result = model.forward(ids, rng=Rng(25).child("drop"))
         ce = cross_entropy(rows_at(result.logits, np.array([3])), labels)
         return ce + result.aux_loss * config.lambda_aux
 

@@ -218,7 +218,7 @@ class TestAdaptedLinear:
             layer = make_layer(6, 5, num_experts=num_experts, k=2, seed=53, dropout_rate=0.1)
             randomize_adapters(layer, 54)
             x = Tensor(Rng(55).normal((64, 6)), requires_grad=True)
-            out, gate = layer.forward(x, train=True, rng=Rng(56))
+            out, gate = layer.forward(x, rng=Rng(56))
             assert len(np.unique(gate.selected)) == num_experts
             # an op is a recorded tensor with a backward; leaves grow with N
             seen, todo, count = {id(out)}, [out], 0
@@ -240,7 +240,7 @@ class TestAdaptedLinear:
         twin.out_factor.data[:] = first.out_factor.data
         twin.in_factor.data[:] = first.in_factor.data
         layer.router.weight.data[:] = 0.0     # equal fusion weights 1/2, 1/2
-        out, gate = layer.forward(Tensor(Rng(59).normal((4, 6))), train=True, rng=Rng(60))
+        out, gate = layer.forward(Tensor(Rng(59).normal((4, 6))), rng=Rng(60))
         np.testing.assert_array_equal(gate.weights, 0.5)
         (out * Tensor(Rng(61).normal(out.shape))).sum().backward()
         assert np.any(np.abs(first.in_factor.grad - twin.in_factor.grad) > 1e-6)
@@ -254,7 +254,7 @@ class TestAdaptedLinear:
     def test_dropout_off_at_eval_keeps_identity_exact(self):
         layer = make_layer(4, 4, num_experts=2, k=2, seed=51, dropout_rate=0.5)
         x = Rng(52).normal((4,))
-        out, _ = adapted_forward(layer, x, train=False)
+        out, _ = adapted_forward(layer, x)
         np.testing.assert_allclose(out, layer.frozen.data @ x, rtol=1e-12)
 
 
@@ -331,7 +331,7 @@ def test_full_adapted_layer_grad_check(num_experts, k):
     targets = np.array([1, 0, 3])
 
     def f():
-        out, gate = layer.forward(x, train=True, rng=Rng(74).child("drop"))
+        out, gate = layer.forward(x, rng=Rng(74).child("drop"))
         return cross_entropy(out, targets) + 0.01 * balance_loss_tensor([gate])
 
     params = dict(layer.named_parameters(), x=x)
@@ -355,7 +355,7 @@ def test_adapted_layer_grad_check_tied_router_logits():
     targets = np.array([2, 0, 1])
 
     def f():
-        out, gate = layer.forward(x, train=True, rng=Rng(78).child("drop"))
+        out, gate = layer.forward(x, rng=Rng(78).child("drop"))
         return cross_entropy(out, targets)
 
     _, gate = layer.forward(x)
@@ -383,7 +383,7 @@ def test_expert_work_follows_k(monkeypatch):
     layer = make_layer(6, 5, num_experts=8, k=1, seed=81, dropout_rate=0.1)
     randomize_adapters(layer, 82)
     x = Tensor(Rng(83).normal((5, 6)), requires_grad=True)
-    out, gate = layer.forward(x, train=True, rng=Rng(84))
+    out, gate = layer.forward(x, rng=Rng(84))
     (out * out).sum().backward()
 
     assert sum(rows for _, rows in calls) == 5 * 1

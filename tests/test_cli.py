@@ -111,9 +111,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key, value", [("batch_size", "0"), ("metrics_every", "0"),
-                                            ("cutoff_len", "0"), ("cutoff_len", "-2")])
+                                            ("cutoff_len", "0"), ("cutoff_len", "-2"),
+                                            ("steps", "-3"), ("epochs", "-1"),
+                                            ("lr_decay", "2"), ("lr_decay", "-0.5")])
     def test_non_positive_run_lengths_rejected(self, tmp_path, capsys, source, key, value):
-        # rejected before the run directory exists, from a flag or a config file
+        # out-of-range run lengths and lr_decay outside [0, 1] are rejected
+        # before the run directory exists, from a flag or a config file
         flag = "--" + key.replace("_", "-")
         argv = train_args(tmp_path)
         if flag in argv:
@@ -195,6 +198,40 @@ class TestTrain:
                  for c in "ab" * 4]
         data.write_text("\n".join(lines) + "\n")
         assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="3")) == 0
+        # prompts of two lengths: each step groups its batch by length
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("".join(json.dumps({"prompt": p, "label": p[0]}) + "\n"
+                                 for p in ("ab=", "abcd=", "b=", "bcde=")))
+        for out in ("a", "b"):
+            assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{mixed}", steps="3",
+                                       seed="1", out=str(tmp_path / out))) == 0
+        for name in ("metrics.csv", "model.ckpt"):
+            a, b = (next((tmp_path / out).iterdir()) / name for out in ("a", "b"))
+            assert a.read_bytes() == b.read_bytes(), name
+
+    def test_final_accuracies_come_from_the_last_logged_row(self, tmp_path, monkeypatch):
+        # the summary reuses the accuracies logged on the final weights; only a
+        # run that logged no row evaluates again
+        import mole.cli
+
+        calls = []
+        evaluate = mole.cli.evaluate
+
+        def counted(model, examples):
+            calls.append(model.step)
+            return evaluate(model, examples)
+
+        monkeypatch.setattr(mole.cli, "evaluate", counted)
+        assert run_cli(*train_args(tmp_path, out=str(tmp_path / "a"))) == 0
+        assert calls == [10, 10, 20, 20, 30, 30]
+        run_dir = next((tmp_path / "a").iterdir())
+        last = list(csv.DictReader((run_dir / "metrics.csv").open()))[-1]
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert repr(summary["train_accuracy"]) == last["train_accuracy"]
+        assert repr(summary["eval_accuracy"]) == last["eval_accuracy"]
+        calls.clear()
+        assert run_cli(*train_args(tmp_path, steps="0", out=str(tmp_path / "b"))) == 0
+        assert calls == [0, 0]
 
 
 class TestAnalyze:

@@ -271,12 +271,21 @@ class TestTraining:
         for name, p in model.trainable_parameters().items():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
 
-    def test_mixed_length_batch_rejected(self):
-        model = AdaptedModel.build(tiny_config())
-        batch = [Example(prompt=encode("ab="), label=ord("a")),
-                 Example(prompt=encode("abc="), label=ord("a"))]
-        with pytest.raises(ValueError, match="lengths"):
-            train_step(model, batch, AdamW(model.trainable_parameters()), Rng(0))
+    def test_mixed_length_batch_weighs_groups_by_share(self):
+        # at dropout 0, a step over two prompt lengths reports the n_g/B-weighted
+        # sums of what the same step reports on each length's sub-batch
+        batch = [Example(prompt=encode(p), label=ord(p[0]))
+                 for p in ("ab=", "abcd=", "ba=", "bcde=", "cd=")]
+
+        def stats(examples):
+            model = AdaptedModel.build(tiny_config())
+            randomize_adapters(model, 27)
+            return train_step(model, examples, AdamW(model.trainable_parameters()), Rng(28))
+
+        whole, short, long = stats(batch), stats(batch[0::2]), stats(batch[1::2])
+        for name in ("total_loss", "cross_entropy", "aux_loss"):
+            expected = 3 / 5 * getattr(short, name) + 2 / 5 * getattr(long, name)
+            assert getattr(whole, name) == pytest.approx(expected, abs=1e-12), name
 
     def test_empty_batch_rejected(self):
         model = AdaptedModel.build(tiny_config())
@@ -331,9 +340,32 @@ class TestGradients:
         labels = np.array([5])
 
         def f():
-            result = model.forward(ids, train_mode=True, rng=Rng(33).child("drop"))
+            result = model.forward(ids, rng=Rng(33).child("drop"))
             ce = cross_entropy(rows_at(result.logits, np.array([2])), labels)
             return ce + result.aux_loss * cfg.lambda_aux
+
+        result = grad_check(f, model.named_parameters(), step=1e-5, tolerance=1e-5)
+        assert result.passed, result.summary()
+        assert set(result.frozen_params) >= {"tok_emb", "head"}
+
+    def test_two_length_batch_grad_check(self):
+        """train_step's gradients on a batch of two prompt lengths, with
+        dropout drawn for both forwards from one step stream, against central
+        differences of its reported loss. AdamW at lr 0 leaves the parameters
+        as they are, and resetting the step count repeats the dropout masks."""
+        cfg = ToyTransformerConfig(num_layers=1, d_model=4, d_ffn=6, num_heads=2,
+                                   vocab_size=16, max_seq_len=8,
+                                   allocation=AllocationPlan((3,), k=2), rank=1,
+                                   alpha=2.0, dropout=0.05, lambda_aux=0.01, seed=34)
+        model = AdaptedModel.build(cfg)
+        randomize_adapters(model, 35, std=0.3)
+        batch = [Example(prompt=[3, 7, 1, 12], label=5), Example(prompt=[2, 9], label=4),
+                 Example(prompt=[6, 1, 11, 0], label=9)]
+        opt = AdamW(model.trainable_parameters(), lr=0.0)
+
+        def f():
+            model.step = 0
+            return Tensor(train_step(model, batch, opt, Rng(36)).total_loss)
 
         result = grad_check(f, model.named_parameters(), step=1e-5, tolerance=1e-5)
         assert result.passed, result.summary()

@@ -174,17 +174,17 @@ class TestStructuralOps:
 
 class TestDropout:
     def test_eval_is_identity(self):
-        assert dropout_mask((3,), 0.5, None, train=False) is None
-        assert dropout_mask((3,), 0.0, None, train=True) is None
+        assert dropout_mask((3,), 0.5, None) is None
+        assert dropout_mask((3,), 0.0, Rng(11).child("drop")) is None
 
     def test_train_scales_kept_entries(self):
-        keep = dropout_mask((10000,), 0.25, Rng(11).child("drop"), train=True)
+        keep = dropout_mask((10000,), 0.25, Rng(11).child("drop"))
         np.testing.assert_allclose(keep[keep > 0], 1.0 / 0.75)
         assert abs(keep.mean() - 1.0) < 0.03
 
     def test_same_rng_same_mask(self):
-        a = dropout_mask((64,), 0.5, Rng(2).child("d"), train=True)
-        b = dropout_mask((64,), 0.5, Rng(2).child("d"), train=True)
+        a = dropout_mask((64,), 0.5, Rng(2).child("d"))
+        b = dropout_mask((64,), 0.5, Rng(2).child("d"))
         np.testing.assert_array_equal(a, b)
 
 
