@@ -159,14 +159,15 @@ class Router:
             if rng is not None else np.zeros((in_dim, num_experts), dtype=dtype)
         self.weight = Tensor(init, requires_grad=True)
 
-    def gate(self, x: Tensor) -> "GateBatch":
+    def gate(self, x: Tensor, record: bool = True) -> "GateBatch":
         """Gate a batch of tokens x (tokens, in_dim); see :class:`GateBatch`.
 
         The logits and their softmax `probs` are the gate's graph nodes.
         `weights`, the selected probabilities renormalised to sum to one, is a
-        plain array; :func:`routed_lora` differentiates it.
+        plain array; :func:`routed_lora` differentiates it. With `record`
+        false the logits use the weight's data, so nothing is recorded.
         """
-        logits = matmul(x, self.weight)                     # (tokens, N)
+        logits = matmul(x, self.weight if record else self.weight.data)  # (tokens, N)
         try:
             probs = softmax(logits, axis=-1)
         except NonFiniteError as err:
@@ -233,7 +234,7 @@ def balance_loss_tensor(gates: list[GateBatch]) -> Tensor:
 
 
 def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[LoraExpert],
-                keep: np.ndarray | None, scale: float) -> Tensor:
+                keep: np.ndarray | None, scale: float, record: bool = True) -> Tensor:
     """One adapted matrix: x @ frozen.T plus each token's selected expert
     updates, weighted by the gate's renormalised weights times `scale`.
 
@@ -245,7 +246,9 @@ def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[Lo
     the tokens skips the gather and the scatter.
 
     The parents are x, `gate.probs` and the routed experts' factors; `frozen`
-    and `weights` are plain arrays. The backward sends gradients to x (from
+    and `weights` are plain arrays. With `record` false the op has no
+    parents and no backward, so nothing keeps its gathers and rank-space
+    products alive once it returns. The backward sends gradients to x (from
     grad @ frozen on), to each routed expert's factors and, through the
     renormalisation, to the selected probabilities: for a token with selected
     set S, weights w and dw = d loss / d w, dp_S = (dw - <dw, w>) / sum(p_S).
@@ -300,6 +303,8 @@ def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[Lo
             np.put_along_axis(dprobs, selected, dsel, axis=-1)
             probs._accumulate(dprobs)
 
+    if not record:
+        return Tensor(out)
     factors = [t for route in routes for t in (route[0].in_factor, route[0].out_factor)]
     return _make(out, (x, probs, *factors), backward)
 
@@ -345,19 +350,22 @@ class AdaptedLinear:
         self.in_dim = in_dim
         self.out_dim = out_dim
 
-    def forward(self, x: Tensor, rng: Rng | None = None) -> tuple[Tensor, GateBatch]:
+    def forward(self, x: Tensor, rng: Rng | None = None,
+                record: bool = True) -> tuple[Tensor, GateBatch]:
         """Apply the layer to a token batch x (tokens, in_dim).
 
         Returns the output and the :class:`GateBatch` so the caller can
         assemble balance losses and routing statistics. An `rng` turns dropout
         on; it applies on the adapter path only, and the frozen path sees the
-        undropped input.
+        undropped input. With `record` false neither the gate nor the routed
+        op records an autodiff graph.
         """
-        gate = self.router.gate(x)
+        gate = self.router.gate(x, record)
         first = self.experts[0]
         keep = dropout_mask((x.shape[0], self.router.k, self.in_dim), first.dropout_rate,
                             rng, x.dtype)
-        return routed_lora(x, self.frozen.data, gate, self.experts, keep, first.scaling), gate
+        return routed_lora(x, self.frozen.data, gate, self.experts, keep, first.scaling,
+                           record), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         params = {f"{prefix}frozen": self.frozen, f"{prefix}router": self.router.weight}

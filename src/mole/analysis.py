@@ -193,7 +193,10 @@ class RouterUsage:
 
 def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
     """Stream a dataset through the model in eval mode and aggregate, per
-    router, how often each expert is selected and its mean fusion weight."""
+    router, how often each expert is selected and its mean fusion weight.
+
+    One forward per prompt length over every row, recording no graph
+    (`record=False`), so each length group's gates are all it keeps."""
     examples = list(examples)
     if not examples:
         raise ValueError("router_stats needs a non-empty dataset")
@@ -205,7 +208,7 @@ def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
                                           selection_counts=[0] * n,
                                           weight_sums=[0.0] * n)
     for _, ids in length_batches(examples):
-        result = model.forward(ids)
+        result = model.forward(ids, record=False)
         for (j, tag), gate in result.gates.items():
             entry = usage[(j, tag)]
             tokens, n = gate.probs.shape

@@ -37,7 +37,7 @@ from .tasks import (
     generate_task,
     load_jsonl,
 )
-from .tensor import Rng
+from .tensor import NonFiniteError, Rng
 
 # Every model field except the two the CLI derives itself (allocation from
 # alloc and k, seed from the mandatory --seed), with the dataclass's defaults.
@@ -301,16 +301,20 @@ def cmd_continual(args) -> int:
     values = np.full((t, t), np.nan)
     names = tuple(d.name for d in domains)
     matrix_path = run_dir / "matrix.csv"
+    split = resolved["eval_split"]
     for stage, domain in enumerate(domains):
         try:
-            _train_loop(model, domain, resolved, metrics_path, domain_tag=domain.name)
+            logged = _train_loop(model, domain, resolved, metrics_path, domain_tag=domain.name)
         except TrainingDiverged as err:
             AccuracyMatrix(values, names).to_csv(matrix_path)  # keep rows so far
             print(f"continual run halted in {domain.name}: {err}", file=sys.stderr)
             return 2
         for i in range(stage + 1):
-            values[stage, i] = evaluate(model, _continual_eval_pool(
-                domains[i], resolved["eval_split"]))
+            if i == stage and logged is not None and split != "all":
+                # the last logged row measured this pool on these weights
+                values[stage, i] = logged[0 if split == "train" else 1]
+            else:
+                values[stage, i] = evaluate(model, _continual_eval_pool(domains[i], split))
         AccuracyMatrix(values, names).to_csv(matrix_path)
     matrix = AccuracyMatrix(values, names)
     report = build_report(model=model, matrix=matrix)
@@ -403,12 +407,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
+    except (TrainingDiverged, CheckpointError, NonFiniteError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (TrainingDiverged, CheckpointError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -124,41 +124,49 @@ class Block:
             self.adapted[tag] = AdaptedLinear(w0, experts, router)
 
     def _apply(self, tag: str, x: Tensor, rng: Rng | None, adapters_on: bool,
-               gates: dict) -> Tensor:
+               gates: dict, record: bool) -> Tensor:
         layer = self.adapted[tag]
         if not adapters_on:
             return matmul(x, layer.frozen.transpose())
-        out, gate = layer.forward(x, rng=rng)
+        out, gate = layer.forward(x, rng=rng, record=record)
         gates[(self.layer_index, tag)] = gate
         return out
 
-    def forward(self, x: Tensor, mask: np.ndarray, rng: Rng | None,
-                adapters_on: bool, gates: dict) -> Tensor:
+    def forward(self, x: Tensor, mask: np.ndarray, rng: Rng | None, adapters_on: bool,
+                gates: dict, record: bool, last_row: bool) -> Tensor:
+        """The block on x (batch, seq, d). With `last_row` only each sequence's
+        last position goes on from its query, so the result is (batch, 1, d);
+        k and v still see every position."""
         batch, seq, d = x.shape
         u = layer_norm(x, self.ln1_gain, self.ln1_bias, LN_EPS).reshape(batch * seq, d)
-        q = self._apply("q", u, rng, adapters_on, gates)
-        k = self._apply("k", u, rng, adapters_on, gates)
-        v = self._apply("v", u, rng, adapters_on, gates)
+        queries, rows = u, seq
+        if last_row:
+            last = np.arange(seq - 1, batch * seq, seq)
+            queries, rows = take_rows(u, last), 1
+            x = take_rows(x.reshape(batch * seq, d), last).reshape(batch, 1, d)
+        q = self._apply("q", queries, rng, adapters_on, gates, record)
+        k = self._apply("k", u, rng, adapters_on, gates, record)
+        v = self._apply("v", u, rng, adapters_on, gates, record)
 
-        def heads(t: Tensor) -> Tensor:
-            return t.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
+        def heads(t: Tensor, n: int) -> Tensor:
+            return t.reshape(batch, n, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-        qh, kh, vh = heads(q), heads(k), heads(v)
+        qh, kh, vh = heads(q, rows), heads(k, seq), heads(v, seq)
         scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
         try:
-            attn = softmax(scores + Tensor(mask), axis=-1)
+            attn = softmax(scores + Tensor(mask[seq - rows:]), axis=-1)
         except NonFiniteError as err:
             raise NonFiniteError(f"attention (layer {self.layer_index}): {err}") from err
-        ctx = matmul(attn, vh).transpose(0, 2, 1, 3).reshape(batch * seq, d)
-        o = self._apply("o", ctx, rng, adapters_on, gates)
-        x = x + o.reshape(batch, seq, d)
+        ctx = matmul(attn, vh).transpose(0, 2, 1, 3).reshape(batch * rows, d)
+        o = self._apply("o", ctx, rng, adapters_on, gates, record)
+        x = x + o.reshape(batch, rows, d)
 
-        u2 = layer_norm(x, self.ln2_gain, self.ln2_bias, LN_EPS).reshape(batch * seq, d)
-        g = self._apply("gate", u2, rng, adapters_on, gates)
-        up = self._apply("up", u2, rng, adapters_on, gates)
+        u2 = layer_norm(x, self.ln2_gain, self.ln2_bias, LN_EPS).reshape(batch * rows, d)
+        g = self._apply("gate", u2, rng, adapters_on, gates, record)
+        up = self._apply("up", u2, rng, adapters_on, gates, record)
         h = silu(g) * up
-        down = self._apply("down", h, rng, adapters_on, gates)
-        return x + down.reshape(batch, seq, d)
+        down = self._apply("down", h, rng, adapters_on, gates, record)
+        return x + down.reshape(batch, rows, d)
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
         params = {
@@ -227,30 +235,40 @@ class AdaptedModel:
             raise ValueError(f"token ids out of range for vocab {self.config.vocab_size}")
         return ids.astype(np.intp), squeeze
 
-    def forward(self, token_ids, rng: Rng | None = None,
-                adapters_on: bool = True) -> ForwardResult:
+    def forward(self, token_ids, rng: Rng | None = None, adapters_on: bool = True,
+                record: bool = True, last_row: bool = False) -> ForwardResult:
         """Causal next-token logits plus the mean balance loss over routers.
 
         An `rng` turns dropout on, and the forward consumes it: the adapted
         matrices draw their dropout masks from it in a fixed order. Without
         one the forward is deterministic. Logits keep the input's batch shape:
         (seq, vocab) for a flat sequence, (batch, seq, vocab) for a batch.
+
+        Inference passes two switches down to every block. With `record`
+        false no autodiff graph is recorded: only router weights and expert
+        factors require grad, and the routers and the routed ops then read
+        their data, so each op's intermediates are freed as the forward moves
+        on. With `last_row` the last block runs its q, o and MLP, and the
+        final norm and head run, on each sequence's last position only, so
+        the seq axis of the logits has length 1.
         """
         ids, squeeze = self._check_tokens(token_ids)
         batch, seq = ids.shape
         x = take_rows(self.tok_emb, ids) + take_rows(self.pos_emb, np.arange(seq))
         mask = np.triu(np.full((seq, seq), _NEG_INF, dtype=self.config.dtype), k=1)
         gates: dict[tuple[int, str], GateBatch] = {}
-        for block in self.blocks:
-            x = block.forward(x, mask, rng, adapters_on, gates)
+        top = len(self.blocks) - 1
+        for j, block in enumerate(self.blocks):
+            x = block.forward(x, mask, rng, adapters_on, gates, record, last_row and j == top)
+        rows = x.shape[1]
         x = layer_norm(x, self.final_gain, self.final_bias, LN_EPS)
-        flat = x.reshape(batch * seq, self.config.d_model)
-        logits = matmul(flat, self.head.transpose()).reshape(batch, seq, self.config.vocab_size)
+        flat = x.reshape(batch * rows, self.config.d_model)
+        logits = matmul(flat, self.head.transpose()).reshape(batch, rows, self.config.vocab_size)
         # the mean over routers: scale-stable across allocations
         aux = balance_loss_tensor(list(gates.values())) if adapters_on \
             else Tensor(np.zeros((), dtype=self.config.dtype))
         if squeeze:
-            logits = logits.reshape(seq, self.config.vocab_size)
+            logits = logits.reshape(rows, self.config.vocab_size)
         return ForwardResult(logits=logits, aux_loss=aux, gates=gates)
 
     def base_forward(self, token_ids) -> Tensor:
@@ -351,13 +369,19 @@ def length_batches(examples):
 
 
 def evaluate(model: AdaptedModel, examples) -> float:
-    """Accuracy of the highest-logit choice at each example's answer position."""
+    """Accuracy of the highest-logit choice at each example's answer position.
+
+    One forward per prompt length, recording no graph and carrying only the
+    answer rows through the last block (`record=False, last_row=True`). This
+    is exact: its logits differ from the full forward's only by BLAS rounding
+    on the smaller shapes, a few 1e-15.
+    """
     examples = list(examples)
     if not examples:
         raise ValueError("evaluate needs a non-empty dataset")
     correct = 0
     for group, ids in length_batches(examples):
-        logits = model.forward(ids).logits.data[:, -1, :]
+        logits = model.forward(ids, record=False, last_row=True).logits.data[:, -1, :]
         for row, ex in zip(logits, group):
             if ex.choices:
                 choice_ids = np.array(ex.choices, dtype=np.intp)

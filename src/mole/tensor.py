@@ -12,7 +12,12 @@ experts and top-K renormalisation: three nodes with its router's logits and
 softmax) and the balance loss over all routers (one node per forward).
 
 No global state anywhere: randomness comes from an explicit, splittable
-counter-based generator (:class:`Rng`) owned by the caller.
+counter-based generator (:class:`Rng`) owned by the caller, and there is no
+grad mode. An op records its parents and backward only when some parent
+requires grad; only trainable leaves do, so a forward records nothing when
+the caller passes ``record=False`` down to the ops that read the trainable
+weights (:meth:`~mole.model.AdaptedModel.forward`), and each intermediate is
+freed as soon as no later op needs it.
 """
 
 from __future__ import annotations

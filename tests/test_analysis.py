@@ -24,7 +24,7 @@ from mole.analysis import (
     redundancy_report,
     router_stats,
 )
-from mole.model import AdamW, AdaptedModel, ToyTransformerConfig, train_step
+from mole.model import AdamW, AdaptedModel, ToyTransformerConfig, length_batches, train_step
 from mole.tasks import generate_task
 from mole.tensor import Rng
 
@@ -224,6 +224,30 @@ class TestRouterStats:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             router_stats(small_model(), [])
+
+    def test_graph_free_counts_match_the_recording_forward(self):
+        # router_stats forwards without a graph; its tallies are those of the
+        # recording forward's gates, bucket by bucket
+        model = small_model(counts=(2, 4), k=2, seed=16)
+        for name, p in model.trainable_parameters().items():
+            p.data[:] = Rng(17).child(name).normal(p.shape, std=0.3)
+        examples = (generate_task("modular_add", 10, seed=18).train
+                    + generate_task("copy", 10, seed=18).train)
+        counts, sums = {}, {}
+        for _, ids in length_batches(examples):
+            for key, gate in model.forward(ids).gates.items():
+                n = gate.probs.shape[1]
+                counts[key] = counts.get(key, 0) + np.bincount(
+                    gate.selected.reshape(-1), minlength=n)
+                bucket = np.zeros(n)
+                np.add.at(bucket, gate.selected.reshape(-1), gate.weights.reshape(-1))
+                sums[key] = sums.get(key, 0.0) + bucket
+        stats = router_stats(model, examples)
+        assert len(stats) == len(counts) == 2 * 7
+        for entry in stats:
+            key = (entry.layer, entry.tag)
+            assert entry.selection_counts == counts[key].tolist()
+            np.testing.assert_allclose(entry.weight_sums, sums[key], rtol=1e-12)
 
 
 class TestEmitReport:

@@ -9,7 +9,7 @@ import pytest
 from golden_tables import DOMAINS, matrix_rows
 from mole.allocation import parse_alloc_spec
 from mole.analysis import AccuracyMatrix
-from mole.checkpoint import load
+from mole.checkpoint import load, save
 from mole.cli import CONTINUAL_DEFAULTS, TRAIN_DEFAULTS, main
 from mole.model import AdaptedModel, ToyTransformerConfig
 from mole.tensor import Rng
@@ -298,6 +298,17 @@ class TestAnalyze:
         assert run_cli("analyze", "--checkpoint", str(init_ckpt)) == 2
         assert "digest" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_router_is_runtime_failure(self, init_ckpt, capsys):
+        # a checkpoint that loads but whose router yields NaN logits fails at
+        # inference, a runtime failure rather than a usage error
+        model = load(init_ckpt)
+        model.blocks[0].adapted["q"].router.weight.data[:] = np.inf
+        save(model, init_ckpt)
+        capsys.readouterr()
+        assert run_cli("analyze", "--checkpoint", str(init_ckpt), "--dataset", "copy") == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_cutoff_left_truncates_long_prompts(self, tmp_path):
         data = tmp_path / "long.jsonl"
         lines = [json.dumps({"prompt": "x" * 90 + f"{c}=", "label": c})
@@ -332,3 +343,29 @@ class TestContinual:
         report = json.loads((run_dir / "report.json").read_text())
         assert np.isfinite(report["metrics"]["performance_drop"])
         assert "overall_performance" in out
+
+    @pytest.mark.parametrize("split, calls", [("eval", 5), ("train", 5), ("all", 7)])
+    def test_current_domain_reuses_the_logged_accuracy(self, tmp_path, monkeypatch,
+                                                       split, calls):
+        # each stage logs the current domain's accuracies on its final weights;
+        # the matrix takes that entry from the log unless the pool is both splits
+        import mole.cli
+
+        counted = []
+        evaluate = mole.cli.evaluate
+
+        def counting(model, examples):
+            counted.append(len(examples))
+            return evaluate(model, examples)
+
+        monkeypatch.setattr(mole.cli, "evaluate", counting)
+        assert run_cli("continual", "--domains", "2", "--domain-size", "40", "--steps", "4",
+                       "--eval-split", split, "--seed", "1", "--out", str(tmp_path / "c")) == 0
+        assert len(counted) == calls
+        run_dir = next((tmp_path / "c").iterdir())
+        matrix = AccuracyMatrix.from_csv(run_dir / "matrix.csv")
+        logged = list(csv.DictReader((run_dir / "metrics.csv").open()))
+        column = {"eval": "eval_accuracy", "train": "train_accuracy"}.get(split)
+        if column:
+            assert [repr(float(matrix.values[k, k])) for k in range(2)] == [
+                logged[0][column], logged[1][column]]

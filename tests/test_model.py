@@ -17,6 +17,7 @@ from mole.model import (
     ToyTransformerConfig,
     TrainingDiverged,
     evaluate,
+    length_batches,
     train_step,
 )
 from mole.tasks import Example, encode, generate_task
@@ -379,10 +380,10 @@ class DegenerateModel:
         self.logits_fn = logits_fn
         self.vocab = vocab
 
-    def forward(self, ids):
-        batch, seq = ids.shape
+    def forward(self, ids, record=True, last_row=False):
         logits = np.stack([self.logits_fn(row) for row in ids])
-        full = np.zeros((batch, seq, self.vocab))
+        rows = 1 if last_row else ids.shape[1]
+        full = np.zeros((ids.shape[0], rows, self.vocab))
         full[:, -1, :] = logits
         return type("R", (), {"logits": Tensor(full)})()
 
@@ -435,3 +436,64 @@ class TestEvaluate:
             return evaluate(model, task.eval)
 
         assert trained_accuracy() == trained_accuracy()
+
+
+def mixed_length_corpus(per_kind: int, seed: int):
+    """Examples of four prompt lengths: modular_add 4, copy 7, parity 9, and
+    keyed_lookup (9) with its first two tokens repeated in front (11)."""
+    examples = [ex for kind in ("modular_add", "copy", "parity")
+                for ex in generate_task(kind, per_kind, seed=seed).all_examples]
+    return examples + [Example(prompt=ex.prompt[:2] + ex.prompt, label=ex.label,
+                               choices=ex.choices)
+                       for ex in generate_task("keyed_lookup", per_kind, seed=seed).all_examples]
+
+
+class TestInference:
+    @staticmethod
+    def inverted_model(seed: int) -> AdaptedModel:
+        model = AdaptedModel(ToyTransformerConfig(
+            allocation=parse_alloc_spec("inverted:2468", 4, k=2), seed=seed))
+        randomize_adapters(model, seed + 1, std=0.1)
+        return model
+
+    def test_evaluate_equals_argmax_of_the_recording_forward(self):
+        model = self.inverted_model(60)
+        examples = mixed_length_corpus(12, seed=61)
+        assert len({len(ex.prompt) for ex in examples}) == 4
+        correct = 0
+        for group, ids in length_batches(examples):
+            full = model.forward(ids).logits.data[:, -1, :]
+            answers = model.forward(ids, record=False, last_row=True).logits.data
+            assert answers.shape == (len(group), 1, 256)
+            np.testing.assert_allclose(answers[:, -1, :], full, rtol=0, atol=1e-12)
+            for row, ex in zip(full, group):
+                choices = np.array(ex.choices, dtype=np.intp)
+                correct += int(choices[np.argmax(row[choices])] == ex.label)
+        assert 0 < correct < len(examples)
+        assert evaluate(model, examples) == correct / len(examples)
+
+    @pytest.mark.parametrize("last_row", [False, True])
+    def test_inference_forward_records_no_graph(self, last_row):
+        model = self.inverted_model(62)
+        result = model.forward([[3, 9, 14, 2], [7, 1, 1, 30]], record=False, last_row=last_row)
+        assert result.logits._parents == () and not result.logits.requires_grad
+        assert result.aux_loss._parents == () and not result.aux_loss.requires_grad
+        assert all(gate.probs._parents == () for gate in result.gates.values())
+        result.aux_loss.backward()
+        assert all(p.grad is None for p in model.trainable_parameters().values())
+
+    def test_evaluate_memory_does_not_grow_with_a_graph(self):
+        # the recording forward peaked at about 500 MB here, the graph-free one
+        # at about 80 MB
+        import tracemalloc
+
+        model = self.inverted_model(63)
+        examples = generate_task("keyed_lookup", 600, seed=64).all_examples
+        assert len(examples) == 600
+        tracemalloc.start()
+        try:
+            evaluate(model, examples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6, f"evaluate peaked at {peak / 1e6:.0f} MB"
