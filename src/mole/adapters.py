@@ -176,7 +176,7 @@ class Router:
         # Stable argsort on -p: ties resolve to the lower expert index.
         order = np.argsort(-probs.data, axis=-1, kind="stable")
         selected = np.sort(order[:, : self.k], axis=-1)
-        kept = np.take_along_axis(probs.data, selected, axis=-1)
+        kept = probs.data[np.arange(len(selected))[:, None], selected]
         return GateBatch(selected, kept / kept.sum(axis=-1, keepdims=True), probs)
 
     def route(self, x) -> RoutingOutcome:
@@ -248,13 +248,17 @@ def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[Lo
     The parents are x, `gate.probs` and the routed experts' factors; `frozen`
     and `weights` are plain arrays. With `record` false the op has no
     parents and no backward, so nothing keeps its gathers and rank-space
-    products alive once it returns. The backward sends gradients to x (from
+    products alive once it returns. Recorded, it keeps each expert's
+    rank-space product and, for dropout, the mask's kept flags (one byte an
+    entry) and its one kept value; the backward gathers and drops each
+    expert's input rows again. The backward sends gradients to x (from
     grad @ frozen on), to each routed expert's factors and, through the
     renormalisation, to the selected probabilities: for a token with selected
     set S, weights w and dw = d loss / d w, dp_S = (dw - <dw, w>) / sum(p_S).
     """
     weights, probs, selected = gate.weights, gate.probs, gate.selected
     tokens, k = selected.shape
+    row = np.arange(tokens)[:, None]
     # Group the (token, slot) pairs by expert. The sort is stable, so each
     # group lists its tokens in ascending order, at most once each.
     order = np.argsort(selected, axis=None, kind="stable")
@@ -268,18 +272,27 @@ def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[Lo
     for i in np.flatnonzero(np.diff(bounds)):
         a, b = bounds[i], bounds[i + 1]
         at = slice(None) if b - a == tokens else tok[a:b]
-        rows = x.data[at]
-        if mask is not None:
-            rows = rows * mask[a:b]
+        rows = x.data[at] if mask is None else x.data[at] * mask[a:b]
         up, low = experts[i].delta(rows)
         up *= weight[a:b]
         out[at] += up
-        routes.append((experts[i], a, b, at, rows, low))
+        routes.append((experts[i], a, b, at, low))
+    # the graph holds no (pairs, in_dim) float array: see the docstring
+    flags, value = (None, None) if mask is None else (mask != 0, mask.max(initial=0.0))
+
+    def masked(t: np.ndarray, a: int, b: int) -> np.ndarray:
+        """t * mask[a:b], rounded alike: times the value, then the flags."""
+        if flags is None:
+            return t
+        t = t * value
+        t *= flags[a:b]
+        return t
 
     def backward(grad):
         dx = grad @ frozen if x.requires_grad else None
         dweight = np.empty(order.size, dtype=x.dtype)   # d loss / d weight, per pair
-        for expert, a, b, at, rows, low in routes:
+        for expert, a, b, at, low in routes:
+            rows = masked(x.data[at], a, b)
             g = grad[at]
             h = g @ expert.out_factor.data                 # (rows, rank)
             np.einsum("rk,rk->r", h, low, out=dweight[a:b])
@@ -287,20 +300,16 @@ def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[Lo
             expert.out_factor._accumulate(g.T @ (low * weight[a:b]))
             expert.in_factor._accumulate(h.T @ rows)
             if dx is not None:
-                gx = h @ expert.in_factor.data
-                if mask is not None:
-                    gx *= mask[a:b]
-                dx[at] += gx
+                dx[at] += masked(h @ expert.in_factor.data, a, b)
         if dx is not None:
             x._accumulate(dx)
         if probs.requires_grad:
             dsel = np.empty(selected.shape, dtype=x.dtype)     # d loss / d weights
             dsel[tok, slot] = scale * dweight
             dsel -= (dsel * weights).sum(axis=-1, keepdims=True)
-            dsel /= np.take_along_axis(probs.data, selected, axis=-1).sum(
-                axis=-1, keepdims=True)                     # now d loss / d p_S
+            dsel /= probs.data[row, selected].sum(axis=-1, keepdims=True)  # now d loss / d p_S
             dprobs = np.zeros_like(probs.data)
-            np.put_along_axis(dprobs, selected, dsel, axis=-1)
+            dprobs[row, selected] = dsel
             probs._accumulate(dprobs)
 
     if not record:

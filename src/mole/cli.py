@@ -134,6 +134,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             raise UsageError(f"{key} must be at least {low}, got {merged[key]}")
     if not 0.0 <= merged["lr_decay"] <= 1.0:
         raise UsageError(f"lr_decay must be in [0, 1], got {merged['lr_decay']}")
+    for key in ("lr", "weight_decay", "lambda_aux"):
+        if merged[key] < 0:
+            raise UsageError(f"{key} must not be negative, got {merged[key]}")
     return merged
 
 
@@ -256,9 +259,9 @@ def cmd_train(args) -> int:
     resolved = _resolve(args, TRAIN_DEFAULTS)
     config = _model_config(resolved)
     task = _load_dataset(resolved)
+    model = AdaptedModel.build(config)  # its own checks fire before anything is written
     run_dir = _run_dir(resolved)
     metrics_path = run_dir / "metrics.csv"
-    model = AdaptedModel.build(config)
     try:
         accuracies = _train_loop(model, task, resolved, metrics_path)
     except TrainingDiverged as err:
@@ -294,9 +297,9 @@ def cmd_continual(args) -> int:
         # null test: every stage revisits the first domain, so no shift occurs
         domains = [TaskData(name=f"stage{k}", train=domains[0].train,
                             eval=domains[0].eval) for k in range(len(domains))]
+    model = AdaptedModel.build(config)
     run_dir = _run_dir(resolved)
     metrics_path = run_dir / "metrics.csv"
-    model = AdaptedModel.build(config)
     t = len(domains)
     values = np.full((t, t), np.nan)
     names = tuple(d.name for d in domains)

@@ -23,8 +23,8 @@ from .adapters import (
     balance_loss_tensor,
 )
 from .allocation import AllocationPlan, ModelDims, validate
-from .tensor import (NonFiniteError, Rng, Tensor, cross_entropy, layer_norm, matmul, rows_at,
-                     silu, softmax, take_rows)
+from .tensor import (NonFiniteError, Rng, Tensor, cross_entropy, layer_norm, matmul, silu,
+                     softmax, take_rows)
 
 LN_EPS = 1e-5
 _NEG_INF = -1e30
@@ -136,37 +136,47 @@ class Block:
                 gates: dict, record: bool, last_row: bool) -> Tensor:
         """The block on x (batch, seq, d). With `last_row` only each sequence's
         last position goes on from its query, so the result is (batch, 1, d);
-        k and v still see every position."""
+        k and v still see every position.
+
+        Inside, the residual stream is one (rows, d) matrix, so the block
+        records one reshape on each side. Attention and the MLP are helpers,
+        so a forward that records nothing frees their intermediates as soon
+        as each returns."""
+        def apply(tag: str, t: Tensor) -> Tensor:
+            return self._apply(tag, t, rng, adapters_on, gates, record)
+
         batch, seq, d = x.shape
-        u = layer_norm(x, self.ln1_gain, self.ln1_bias, LN_EPS).reshape(batch * seq, d)
-        queries, rows = u, seq
-        if last_row:
-            last = np.arange(seq - 1, batch * seq, seq)
-            queries, rows = take_rows(u, last), 1
-            x = take_rows(x.reshape(batch * seq, d), last).reshape(batch, 1, d)
-        q = self._apply("q", queries, rng, adapters_on, gates, record)
-        k = self._apply("k", u, rng, adapters_on, gates, record)
-        v = self._apply("v", u, rng, adapters_on, gates, record)
+        x = x.reshape(batch * seq, d)
+        last = np.arange(seq - 1, batch * seq, seq) if last_row else None
+        residual = x if last is None else take_rows(x, last)
+        x = residual + apply("o", self._attention(x, mask, batch, last, apply))
+        x = x + self._mlp(x, apply)
+        return x.reshape(batch, -1, d)
+
+    def _attention(self, x: Tensor, mask: np.ndarray, batch: int, last: np.ndarray | None,
+                   apply) -> Tensor:
+        """The o-projection's input: causal multi-head attention over the
+        rows of x (batch * seq, d), queried from every row or from `last`."""
+        seq, d = x.shape[0] // batch, x.shape[1]
+        u = layer_norm(x, self.ln1_gain, self.ln1_bias, LN_EPS)
+        queries, rows = (u, seq) if last is None else (take_rows(u, last), 1)
 
         def heads(t: Tensor, n: int) -> Tensor:
             return t.reshape(batch, n, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-        qh, kh, vh = heads(q, rows), heads(k, seq), heads(v, seq)
+        qh = heads(apply("q", queries), rows)
+        kh, vh = heads(apply("k", u), seq), heads(apply("v", u), seq)
         scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
         try:
             attn = softmax(scores + Tensor(mask[seq - rows:]), axis=-1)
         except NonFiniteError as err:
             raise NonFiniteError(f"attention (layer {self.layer_index}): {err}") from err
-        ctx = matmul(attn, vh).transpose(0, 2, 1, 3).reshape(batch * rows, d)
-        o = self._apply("o", ctx, rng, adapters_on, gates, record)
-        x = x + o.reshape(batch, rows, d)
+        return matmul(attn, vh).transpose(0, 2, 1, 3).reshape(batch * rows, d)
 
-        u2 = layer_norm(x, self.ln2_gain, self.ln2_bias, LN_EPS).reshape(batch * rows, d)
-        g = self._apply("gate", u2, rng, adapters_on, gates, record)
-        up = self._apply("up", u2, rng, adapters_on, gates, record)
-        h = silu(g) * up
-        down = self._apply("down", h, rng, adapters_on, gates, record)
-        return x + down.reshape(batch, rows, d)
+    def _mlp(self, x: Tensor, apply) -> Tensor:
+        """The gated silu unit on the normalised rows of x."""
+        u = layer_norm(x, self.ln2_gain, self.ln2_bias, LN_EPS)
+        return apply("down", silu(apply("gate", u)) * apply("up", u))
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
         params = {
@@ -244,13 +254,15 @@ class AdaptedModel:
         one the forward is deterministic. Logits keep the input's batch shape:
         (seq, vocab) for a flat sequence, (batch, seq, vocab) for a batch.
 
-        Inference passes two switches down to every block. With `record`
-        false no autodiff graph is recorded: only router weights and expert
-        factors require grad, and the routers and the routed ops then read
-        their data, so each op's intermediates are freed as the forward moves
-        on. With `last_row` the last block runs its q, o and MLP, and the
-        final norm and head run, on each sequence's last position only, so
-        the seq axis of the logits has length 1.
+        Two switches go down to every block. With `record` false (inference)
+        no autodiff graph is recorded: only router weights and expert factors
+        require grad, and the routers and the routed ops then read their
+        data, so each op's intermediates are freed as the forward moves on.
+        With `last_row` (inference and :func:`train_step`) the last block
+        runs its q, o and MLP, and the final norm and head run, on each
+        sequence's last position only, so the seq axis of the logits has
+        length 1 and that block's five query-side routers gate only those
+        rows; k and v still see every position.
         """
         ids, squeeze = self._check_tokens(token_ids)
         batch, seq = ids.shape
@@ -280,7 +292,18 @@ class AdaptedModel:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over the model's trainable parameters."""
+    """Decoupled-weight-decay Adam over the model's trainable parameters.
+
+    At construction the parameters are packed, in dict order, into one
+    contiguous vector `flat`, and each parameter's `data` becomes a view into
+    it, so in-place writes to a parameter reach the vector. `m` and `v` are
+    flat too. A step gathers the gradients once (zeros for a parameter
+    without one), updates everything with whole-vector operations in place,
+    and releases the gradients: every `grad` is None afterwards. Each
+    element sees the same expressions, in the same order and roundings, as
+    a per-array loop. Build one optimizer per parameter set: a later one
+    repacks the views.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -294,8 +317,15 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.flat = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        start = 0
+        for p in self.params.values():
+            p.data = self.flat[start:start + p.size].reshape(p.shape)
+            start += p.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._grad = np.empty_like(self.flat)      # the gathered gradient, then scratch
+        self._scratch = np.empty_like(self.flat)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -305,14 +335,29 @@ class AdamW:
         lr = self.lr if lr is None else lr
         b1, b2 = self.betas
         self.t += 1
-        for name, p in self.params.items():
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * grad
-            self.v[name] = b2 * self.v[name] + (1 - b2) * grad * grad
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                            + self.weight_decay * p.data)
+        grad, s = self._grad, self._scratch
+        np.concatenate([np.zeros(p.size, dtype=grad.dtype) if p.grad is None
+                        else p.grad.reshape(-1) for p in self.params.values()], out=grad)
+        self.zero_grad()
+        # m = b1 * m + (1 - b1) * grad
+        self.m *= b1
+        np.multiply(grad, 1 - b1, out=s)
+        self.m += s
+        # v = b2 * v + (1 - b2) * grad * grad
+        self.v *= b2
+        np.multiply(grad, 1 - b2, out=s)
+        s *= grad
+        self.v += s
+        # flat -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * flat)
+        np.divide(self.m, 1 - b1 ** self.t, out=s)
+        np.divide(self.v, 1 - b2 ** self.t, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += self.eps
+        s /= grad
+        np.multiply(self.flat, self.weight_decay, out=grad)
+        s += grad
+        s *= lr
+        self.flat -= s
 
 
 @dataclass
@@ -327,9 +372,14 @@ def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
     """One optimization step on a batch of B examples, one forward per prompt
     length (:func:`length_batches`), each drawing dropout from the step's rng.
 
-    A group of n_g examples adds n_g/B times its answer-position cross-entropy
-    plus lambda_aux times its mean balance loss, so the cross-entropy is the
-    mean over all B examples. A non-finite loss aborts the step before any update.
+    The loss reads only each example's answer position, so the forwards run
+    with `last_row`: the last block's q, o and MLP, the final norm and the
+    head see the n_g answer rows of a group, not all its n_g * T rows. So the
+    last block's five query-side routers balance over the n_g answer tokens;
+    every other router balances over all n_g * T. A group adds n_g/B times
+    its cross-entropy plus lambda_aux times its mean balance loss, so the
+    cross-entropy is the mean over all B examples. A non-finite loss aborts
+    the step before any update; the optimizer's step releases the gradients.
     """
     if not batch:
         raise ValueError("training batch is empty")
@@ -337,11 +387,11 @@ def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
     total, ce, aux = None, 0.0, 0.0
     for group, ids in length_batches(batch):
         try:
-            result = model.forward(ids, rng=step_rng)
+            result = model.forward(ids, rng=step_rng, last_row=True)
         except NonFiniteError as err:
             raise TrainingDiverged(f"non-finite values at step {model.step}: {err}") from err
-        answers = rows_at(result.logits, np.full(len(group), ids.shape[1] - 1))
-        group_ce = cross_entropy(answers, np.array([ex.label for ex in group], dtype=np.intp))
+        group_ce = cross_entropy(result.logits,
+                                 np.array([[ex.label] for ex in group], dtype=np.intp))
         share = len(group) / len(batch)
         loss = (group_ce + result.aux_loss * model.config.lambda_aux) * share
         total = loss if total is None else total + loss

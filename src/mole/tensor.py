@@ -57,8 +57,9 @@ class Tensor:
 
     `data` is a row-major numpy array of 64-bit (or opt-in 32-bit) floats.
     `grad`, when populated, always has the same shape as `data`. Tensors are
-    treated as immutable after construction; the optimizer's in-place update
-    of leaf `data` is the single sanctioned exception.
+    treated as immutable after construction; the optimizer's packing of leaf
+    `data` into views of one vector and its in-place update of them are the
+    single sanctioned exception.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -110,7 +111,11 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Backpropagate from a scalar root through the recorded graph."""
+        """Backpropagate from a scalar root through the recorded graph.
+
+        Leaves keep their accumulated `grad`. An op's gradient is released
+        once its backward has passed it on, so the backward holds at most
+        the gradients still waiting to be passed on."""
         if self.size != 1:
             raise ValueError(f"backward() requires a scalar root, got shape {self.shape}")
         # Iterative topological sort; recursion would overflow on deep graphs.
@@ -133,6 +138,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operators ---------------------------------------------------------
 
@@ -386,12 +392,25 @@ def dropout_mask(shape, rate: float, rng: "Rng | None",
     """Inverted-dropout keep mask of `shape`, drawn from `rng`: kept entries
     are 1/(1-rate), dropped ones 0. An rng is what turns dropout on: None
     without one or at rate 0, where nothing is dropped, so the inference path
-    stays deterministic."""
+    stays deterministic.
+
+    Each entry is dropped independently with probability `rate`. The mask is
+    drawn as the gaps between dropped entries in row-major order, which are
+    Geometric(rate): about rate * size draws instead of one per entry. Gaps
+    come in fixed-size chunks until they pass the end, so the draws a mask
+    takes from `rng` depend only on the stream and the shape."""
     if rng is None or rate <= 0.0:
         return None
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+    size = int(np.prod(shape))
+    mask = np.full(size, 1.0 / (1.0 - rate), dtype=dtype)
+    chunk = int(rate * size + 4.0 * np.sqrt(rate * size)) + 1
+    dropped = np.cumsum(rng.geometric(rate, chunk)) - 1
+    while dropped[-1] < size:
+        dropped = np.concatenate([dropped, dropped[-1] + np.cumsum(rng.geometric(rate, chunk))])
+    mask[dropped[dropped < size]] = 0.0
+    return mask.reshape(shape)
 
 
 # -- randomness --------------------------------------------------------------
@@ -425,6 +444,10 @@ class Rng:
 
     def random(self, shape) -> np.ndarray:
         return self._gen.random(size=shape)
+
+    def geometric(self, p: float, size) -> np.ndarray:
+        """Trials up to and including the first success, success rate `p`."""
+        return self._gen.geometric(p, size=size)
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)

@@ -113,10 +113,14 @@ class TestTrain:
     @pytest.mark.parametrize("key, value", [("batch_size", "0"), ("metrics_every", "0"),
                                             ("cutoff_len", "0"), ("cutoff_len", "-2"),
                                             ("steps", "-3"), ("epochs", "-1"),
-                                            ("lr_decay", "2"), ("lr_decay", "-0.5")])
+                                            ("lr_decay", "2"), ("lr_decay", "-0.5"),
+                                            ("lr", "-1"), ("weight_decay", "-1"),
+                                            ("lambda_aux", "-1"), ("dropout", "1.5"),
+                                            ("dropout", "-0.1"), ("alpha", "0")])
     def test_non_positive_run_lengths_rejected(self, tmp_path, capsys, source, key, value):
-        # out-of-range run lengths and lr_decay outside [0, 1] are rejected
-        # before the run directory exists, from a flag or a config file
+        # out-of-range run lengths, lr_decay outside [0, 1], negative learning
+        # settings and adapter settings the model rejects all fail before the
+        # run directory exists, from a flag or a config file
         flag = "--" + key.replace("_", "-")
         argv = train_args(tmp_path)
         if flag in argv:
@@ -328,6 +332,14 @@ class TestContinual:
         run_dir = next((tmp_path / "c").iterdir())
         matrix = AccuracyMatrix.from_csv(run_dir / "matrix.csv")
         assert matrix.domains == ("stage0", "stage1")
+
+    @pytest.mark.parametrize("key, value", [("dropout", "1.5"), ("alpha", "0"), ("lr", "-1")])
+    def test_bad_settings_rejected_before_the_run_directory(self, tmp_path, capsys, key, value):
+        assert run_cli("continual", "--domains", "2", "--domain-size", "40", "--steps", "2",
+                       "--seed", "7", "--out", str(tmp_path / "c"),
+                       "--" + key.replace("_", "-"), value) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_small_sequence_emits_matrix_and_metrics(self, tmp_path, capsys):
         code = run_cli("continual", "--domains", "2", "--domain-size", "40",

@@ -243,7 +243,7 @@ class TestTraining:
         train_step(model, self.batch_from(task, 4), opt, Rng(25))
         for name, p in model.trainable_parameters().items():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
-        assert any(np.any(m) for m in opt.m.values())  # moments did move
+        assert np.any(opt.m) and np.any(opt.v)  # moments did move
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_diagnostic(self):
@@ -288,10 +288,81 @@ class TestTraining:
             expected = 3 / 5 * getattr(short, name) + 2 / 5 * getattr(long, name)
             assert getattr(whole, name) == pytest.approx(expected, abs=1e-12), name
 
+    def test_step_cross_entropy_is_the_full_forwards_answer_row(self):
+        # the step runs the last block on answer rows only; at dropout 0 its
+        # cross-entropy is the full forward's at the answer positions
+        model = AdaptedModel.build(tiny_config(dropout=0.0, lambda_aux=0.0))
+        randomize_adapters(model, 29)
+        batch = [Example(prompt=encode(p), label=ord(p[1]))
+                 for p in ("ab=", "abcd=", "ba=", "bcde=", "cd=")]
+        expected = 0.0
+        for group, ids in length_batches(batch):
+            answers = model.forward(ids).logits.data[:, -1:, :]
+            labels = np.array([[ex.label] for ex in group])
+            expected += len(group) / len(batch) * cross_entropy(Tensor(answers), labels).item()
+        stats = train_step(model, batch, AdamW(model.trainable_parameters()), Rng(30))
+        assert stats.cross_entropy == pytest.approx(expected, abs=1e-12)
+        assert stats.total_loss == pytest.approx(expected, abs=1e-12)
+
     def test_empty_batch_rejected(self):
         model = AdaptedModel.build(tiny_config())
         with pytest.raises(ValueError, match="empty"):
             train_step(model, [], AdamW(model.trainable_parameters()), Rng(0))
+
+
+class ReferenceAdamW:
+    """The per-array AdamW loop the packed optimizer replaces: the oracle."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+        self.params, self.lr, self.betas, self.eps = params, lr, betas, eps
+        self.weight_decay, self.t = weight_decay, 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+    def step(self):
+        b1, b2 = self.betas
+        self.t += 1
+        for name, p in self.params.items():
+            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[name] = b1 * self.m[name] + (1 - b1) * grad
+            self.v[name] = b2 * self.v[name] + (1 - b2) * grad * grad
+            m_hat = self.m[name] / (1 - b1 ** self.t)
+            v_hat = self.v[name] / (1 - b2 ** self.t)
+            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps)
+                                 + self.weight_decay * p.data)
+
+
+class TestAdamW:
+    @staticmethod
+    def params(dtype):
+        rng = Rng(90)
+        return {name: Tensor(rng.child(name).normal(shape, dtype=dtype), requires_grad=True)
+                for name, shape in (("a", (3, 4)), ("b", (5,)), ("none", (2, 2)), ("c", (4, 1)))}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_packed_step_matches_the_per_array_loop_bitwise(self, dtype):
+        ref_params, params = self.params(dtype), self.params(dtype)
+        ref = ReferenceAdamW(ref_params, lr=3e-2, weight_decay=0.1)
+        opt = AdamW(params, lr=3e-2, weight_decay=0.1)
+        for name, p in params.items():
+            assert p.data.dtype == dtype and np.shares_memory(p.data, opt.flat), name
+        for step in range(3):
+            for name in params:
+                if name != "none":   # this one never gets a gradient
+                    grad = Rng(91).child(step, name).normal(params[name].shape, dtype=dtype)
+                    ref_params[name].grad, params[name].grad = grad.copy(), grad.copy()
+            ref.step()
+            opt.step()
+            for name, p in params.items():
+                np.testing.assert_array_equal(p.data, ref_params[name].data, err_msg=name)
+                assert p.grad is None, name
+            for flat, moments in ((opt.m, ref.m), (opt.v, ref.v)):
+                np.testing.assert_array_equal(
+                    flat, np.concatenate([moments[name].reshape(-1) for name in params]))
+
+    def test_frozen_parameter_rejected(self):
+        with pytest.raises(ValueError, match="frozen"):
+            AdamW({"w": Tensor(np.zeros(3))})
 
 
 class TestGraphSize:
@@ -362,11 +433,22 @@ class TestGradients:
         randomize_adapters(model, 35, std=0.3)
         batch = [Example(prompt=[3, 7, 1, 12], label=5), Example(prompt=[2, 9], label=4),
                  Example(prompt=[6, 1, 11, 0], label=9)]
-        opt = AdamW(model.trainable_parameters(), lr=0.0)
+
+        class Capturing(AdamW):
+            """Keeps each step's gradients by name before the step releases them."""
+
+            def step(self, lr=None):
+                self.grads = {name: p.grad for name, p in self.params.items()}
+                super().step(lr)
+
+        opt = Capturing(model.trainable_parameters(), lr=0.0)
 
         def f():
             model.step = 0
-            return Tensor(train_step(model, batch, opt, Rng(36)).total_loss)
+            loss = train_step(model, batch, opt, Rng(36)).total_loss
+            for name, grad in opt.grads.items():
+                opt.params[name].grad = grad
+            return Tensor(loss)
 
         result = grad_check(f, model.named_parameters(), step=1e-5, tolerance=1e-5)
         assert result.passed, result.summary()

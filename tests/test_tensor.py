@@ -187,6 +187,32 @@ class TestDropout:
         b = dropout_mask((64,), 0.5, Rng(2).child("d"))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("rate", [0.05, 0.5, 0.9])
+    def test_entries_drop_independently_at_the_rate(self, rate):
+        # drop fraction and adjacent-pair fraction of an i.i.d. Bernoulli(rate)
+        # mask, each within 5 standard errors, over 100,000 entries
+        shape = (250, 2, 200)
+        keep = dropout_mask(shape, rate, Rng(3).child("d", rate))
+        assert keep.shape == shape
+        np.testing.assert_array_equal(keep[keep != 0], 1.0 / (1.0 - rate))
+        dropped = (keep == 0).reshape(-1)
+        n = dropped.size
+        assert abs(dropped.mean() - rate) < 5 * math.sqrt(rate * (1 - rate) / n)
+        pairs = dropped[1:] & dropped[:-1]
+        # neighbouring pairs share an entry: covariance r^3 - r^4 each side
+        var = (rate**2 * (1 - rate**2) + 2 * (rate**3 - rate**4)) / (n - 1)
+        assert abs(pairs.mean() - rate**2) < 5 * math.sqrt(var)
+        np.testing.assert_array_equal(keep, dropout_mask(shape, rate, Rng(3).child("d", rate)))
+
+    def test_gaps_are_drawn_until_they_pass_the_end(self):
+        class UnitGaps:
+            """Every gap is one entry, so every entry is dropped."""
+
+            def geometric(self, p, size):
+                return np.ones(size, dtype=np.int64)
+
+        np.testing.assert_array_equal(dropout_mask((40, 50), 0.05, UnitGaps()), 0.0)
+
 
 class TestGradCheck:
     def test_quadratic(self):
