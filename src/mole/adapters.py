@@ -8,15 +8,22 @@ most probable experts per token and fuses their outputs with renormalized
 softmax weights. A switch-style load-balancing loss keeps expert workloads
 equitable.
 
-An adapted matrix is one op (:func:`routed_lora`): the frozen product plus
-a grouped dispatch in which each expert that some token selected runs only on
-the rows routed to it, so the work grows with K, not with the expert count N.
-That op also differentiates the top-K renormalisation, so an adapted matrix
-records three graph nodes whatever N is: its router's logits, their softmax,
-and the routed op. The balance loss is one more node per forward, over all
-routers at once. An expert that no token selected is never run and its
-factors receive no gradient. Dropout is one mask draw per matrix, one mask per
-(token, selection slot), so two identical experts still see different masks.
+A recorded forward (training, gradient checks) runs an adapted matrix as one
+op (:func:`routed_lora`): the frozen product plus a grouped dispatch in which
+each expert that some token selected runs only on the rows routed to it, so
+the work grows with K, not with the expert count N. That op also
+differentiates the top-K renormalisation, so an adapted matrix records three
+graph nodes whatever N is: its router's logits, their softmax, and the routed
+op. The balance loss is one more node per forward, over all routers at once.
+An expert that no token selected is never run and its factors receive no
+gradient. Dropout is one mask draw per matrix, one mask per (token, selection
+slot), so two identical experts still see different masks.
+
+A forward that records nothing (inference) computes the same value with
+:func:`stacked_lora`: one product of x with all N experts' in-factors
+stacked, a dense gate that zeroes the experts a token did not select, and one
+product with the out-factors stacked. Its work grows with N * rank, not with
+K; it replaces N gathers and scatters with two matrix products.
 """
 
 from __future__ import annotations
@@ -234,7 +241,7 @@ def balance_loss_tensor(gates: list[GateBatch]) -> Tensor:
 
 
 def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[LoraExpert],
-                keep: np.ndarray | None, scale: float, record: bool = True) -> Tensor:
+                keep: np.ndarray | None, scale: float) -> Tensor:
     """One adapted matrix: x @ frozen.T plus each token's selected expert
     updates, weighted by the gate's renormalised weights times `scale`.
 
@@ -245,12 +252,11 @@ def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[Lo
     in_dim) dropout mask, or None for no dropout. An expert whose rows are all
     the tokens skips the gather and the scatter.
 
-    The parents are x, `gate.probs` and the routed experts' factors; `frozen`
-    and `weights` are plain arrays. With `record` false the op has no
-    parents and no backward, so nothing keeps its gathers and rank-space
-    products alive once it returns. Recorded, it keeps each expert's
-    rank-space product and, for dropout, the mask's kept flags (one byte an
-    entry) and its one kept value; the backward gathers and drops each
+    The expert work is K rows per token whatever the expert count. The
+    parents are x, `gate.probs` and the routed experts' factors; `frozen` and
+    `weights` are plain arrays. The op keeps each expert's rank-space product
+    and, for dropout, the mask's kept flags (one byte an entry) and its one
+    kept value; the backward gathers and drops each
     expert's input rows again. The backward sends gradients to x (from
     grad @ frozen on), to each routed expert's factors and, through the
     renormalisation, to the selected probabilities: for a token with selected
@@ -312,10 +318,44 @@ def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[Lo
             dprobs[row, selected] = dsel
             probs._accumulate(dprobs)
 
-    if not record:
-        return Tensor(out)
     factors = [t for route in routes for t in (route[0].in_factor, route[0].out_factor)]
     return _make(out, (x, probs, *factors), backward)
+
+
+def stacked_lora(x: np.ndarray, frozen: np.ndarray, gate: GateBatch,
+                 experts: list[LoraExpert], keep: np.ndarray | None,
+                 scale: float) -> np.ndarray:
+    """The value of :func:`routed_lora`, recording nothing, as one stacked
+    expert product.
+
+    x @ [A_1; ...; A_N].T gives every expert's (tokens, rank) block at once;
+    each block is scaled by a dense (tokens, N) gate that holds weights *
+    scale at the token's selected experts and 0 elsewhere, and one product
+    with [B_1, ..., B_N] sums the updates onto x @ frozen.T. The work is
+    N * rank * (in_dim + out_dim) per token, whatever K. With a dropout mask
+    `keep` each selection slot's masked copy of x gets its own in-product,
+    gated at that slot's expert only.
+    """
+    tokens, k = gate.selected.shape
+    n, rank = len(experts), experts[0].rank
+    stacked_in = np.concatenate([e.in_factor.data for e in experts])            # (N r, in)
+    stacked_out = np.concatenate([e.out_factor.data for e in experts], axis=1)  # (out, N r)
+    row = np.arange(tokens)[:, None]
+
+    def gated(rows: np.ndarray, slots) -> np.ndarray:
+        dense = np.zeros((tokens, n), dtype=x.dtype)
+        dense[row, gate.selected[:, slots]] = gate.weights[:, slots] * scale
+        low = (rows @ stacked_in.T).reshape(tokens, n, rank)
+        low *= dense[:, :, None]
+        return low
+
+    if keep is None:
+        low = gated(x, slice(None))
+    else:
+        low = sum(gated(x * keep[:, s], [s]) for s in range(k))
+    out = low.reshape(tokens, n * rank) @ stacked_out.T
+    out += x @ frozen.T
+    return out
 
 
 class AdaptedLinear:
@@ -329,10 +369,13 @@ class AdaptedLinear:
     For tokens x the output is x @ frozen.T plus, for each token and each of
     its K selected experts i, the expert's renormalised weight times
     (alpha / rank) * dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors
-    and B the out-factors. The whole formula is one op (:func:`routed_lora`),
-    grouped by expert: each expert runs once, on the rows routed to it, so an
-    adapted matrix costs O(K) expert rows per token whatever its expert count,
-    and records three graph nodes (router logits, softmax, routed op).
+    and B the out-factors. A recorded forward computes the whole formula as
+    one op (:func:`routed_lora`), grouped by expert: each expert runs once,
+    on the rows routed to it, so the matrix costs O(K) expert rows per token
+    whatever its expert count, and records three graph nodes (router logits,
+    softmax, routed op). A forward that records nothing uses
+    :func:`stacked_lora`, two stacked products whose work is O(N * rank) per
+    token.
     """
 
     def __init__(self, frozen_weight: np.ndarray, experts: list[LoraExpert],
@@ -366,15 +409,17 @@ class AdaptedLinear:
         Returns the output and the :class:`GateBatch` so the caller can
         assemble balance losses and routing statistics. An `rng` turns dropout
         on; it applies on the adapter path only, and the frozen path sees the
-        undropped input. With `record` false neither the gate nor the routed
-        op records an autodiff graph.
+        undropped input. With `record` false the gate records nothing and
+        the output comes from :func:`stacked_lora`, with no autodiff graph.
         """
         gate = self.router.gate(x, record)
         first = self.experts[0]
         keep = dropout_mask((x.shape[0], self.router.k, self.in_dim), first.dropout_rate,
                             rng, x.dtype)
-        return routed_lora(x, self.frozen.data, gate, self.experts, keep, first.scaling,
-                           record), gate
+        if not record:
+            return Tensor(stacked_lora(x.data, self.frozen.data, gate, self.experts, keep,
+                                       first.scaling)), gate
+        return routed_lora(x, self.frozen.data, gate, self.experts, keep, first.scaling), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         params = {f"{prefix}frozen": self.frozen, f"{prefix}router": self.router.weight}

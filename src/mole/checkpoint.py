@@ -8,6 +8,11 @@ base, trainable parameter names and shapes in order), then the raw trainable
 blobs as little-endian 64-bit floats in header order. Failure modes are
 distinct exception types so callers can tell a corrupt header from a truncated
 blob from a shape mismatch from a base that no longer regenerates.
+
+Loaded models share their frozen base: every live model loaded on one base
+digest holds the same read-only arrays, so keeping many loaded models costs
+one base, not one each. A model built directly keeps private, writable
+arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import hashlib
 import json
 import os
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +30,11 @@ from .model import AdaptedModel, ToyTransformerConfig
 
 MAGIC = b"MOLECKPT"
 FORMAT_VERSION = 3
+
+
+# (base digest, parameter name) -> the read-only frozen array that loaded
+# models of that base share. An entry lives as long as some model holds it.
+_SHARED_BASE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class CheckpointError(Exception):
@@ -102,9 +113,10 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
     """Rebuild a model from `path`; every parameter is restored bit-exactly.
 
     The frozen base is regenerated from the config's seed and must match the
-    stored digest. When `config` is given it must agree with the stored
-    parameter shapes; otherwise the model is built from the config echoed in
-    the header.
+    stored digest; the model then shares the read-only base arrays of any
+    live model loaded on the same digest. When `config` is given it must
+    agree with the stored parameter shapes; otherwise the model is built from
+    the config echoed in the header.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -157,5 +169,13 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
         raise BaseMismatchError(
             f"seed {config.seed} regenerates a base with digest {regenerated[:12]}..., "
             f"checkpoint was trained on {str(base_sha256)[:12]}...")
+    for name, p in model.named_parameters().items():
+        if not p.requires_grad:
+            shared = _SHARED_BASE.get((base_sha256, name))
+            if shared is None:
+                p.data.flags.writeable = False
+                _SHARED_BASE[(base_sha256, name)] = p.data
+            else:
+                p.data = shared
     model.step = step
     return model

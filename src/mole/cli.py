@@ -95,7 +95,7 @@ _HELP = {
     "alloc": "allocation spec, e.g. inverted:2468 or counts=1,1,3,3",
     "k": "router top-K",
     "epochs": "overrides --steps as epochs x batches-per-epoch",
-    "cutoff_len": "left-truncate prompts longer than this",
+    "cutoff_len": "left-truncate prompts longer than this (at most max_seq_len)",
     "target_acc": "stop once train accuracy reaches this level",
     "identical_domains": "repeat the first domain at every stage (no-shift null test)",
     "out": "output directory for run artifacts",
@@ -116,22 +116,32 @@ def _coerce(key: str, raw: str):
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge precedence: explicit flags > config file > built-in defaults."""
     merged = dict(defaults)
+    given = set()
     if getattr(args, "config", None):
         file_values = _read_kv_config(args.config)
         for key, raw in file_values.items():
             if key not in defaults and key not in ("seed", "out"):
                 raise UsageError(f"unknown config key {key!r}")
             merged[key] = _coerce(key, raw)
+            given.add(key)
     for key in list(defaults) + ["seed", "out"]:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+            given.add(key)
     if merged.get("seed") is None:
         raise UsageError("a seed is mandatory (--seed or config file)")
     for key, low in (("batch_size", 1), ("metrics_every", 1), ("cutoff_len", 1),
                      ("steps", 0), ("epochs", 0)):
         if merged[key] is not None and merged[key] < low:
             raise UsageError(f"{key} must be at least {low}, got {merged[key]}")
+    if merged["cutoff_len"] > merged["max_seq_len"]:
+        # a prompt longer than max_seq_len fails the forward: a cutoff the
+        # user gave is refused, the default one shrinks to fit
+        if "cutoff_len" in given:
+            raise UsageError(f"cutoff_len {merged['cutoff_len']} exceeds max_seq_len "
+                             f"{merged['max_seq_len']}")
+        merged["cutoff_len"] = merged["max_seq_len"]
     if not 0.0 <= merged["lr_decay"] <= 1.0:
         raise UsageError(f"lr_decay must be in [0, 1], got {merged['lr_decay']}")
     for key in ("lr", "weight_decay", "lambda_aux"):

@@ -256,8 +256,10 @@ class AdaptedModel:
 
         Two switches go down to every block. With `record` false (inference)
         no autodiff graph is recorded: only router weights and expert factors
-        require grad, and the routers and the routed ops then read their
-        data, so each op's intermediates are freed as the forward moves on.
+        require grad, the routers then read their data, and each adapted
+        matrix runs the stacked expert product
+        (:func:`~mole.adapters.stacked_lora`), so each op's intermediates are
+        freed as the forward moves on.
         With `last_row` (inference and :func:`train_step`) the last block
         runs its q, o and MLP, and the final norm and head run, on each
         sequence's last position only, so the seq axis of the logits has

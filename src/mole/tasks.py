@@ -50,6 +50,8 @@ class Example:
     choices: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not self.prompt:
+            raise ValueError("prompt must not be empty")
         if self.choices is not None and self.label not in self.choices:
             raise ValueError(f"label {self.label} not among choices {self.choices}")
 

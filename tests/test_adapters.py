@@ -397,3 +397,34 @@ def test_expert_work_follows_k(monkeypatch):
             assert ran == []
             assert e.in_factor.grad is None and e.out_factor.grad is None
     assert len(routed) < 8
+
+
+@pytest.mark.parametrize("num_experts, k", [(2, 2), (8, 1), (8, 2)])
+def test_inference_forward_equals_the_recording_forward(num_experts, k):
+    """record=False computes the stacked expert product: the same gate and,
+    within rounding, the grouped op's value, also with experts no token
+    selected; nothing is recorded."""
+    layer = make_layer(6, 5, num_experts=num_experts, k=k, seed=91, dropout_rate=0.1)
+    randomize_adapters(layer, 92)
+    x = Tensor(Rng(93).normal((5, 6)), requires_grad=True)
+    recorded, gate = layer.forward(x)
+    inferred, same = layer.forward(x, record=False)
+    np.testing.assert_array_equal(same.selected, gate.selected)
+    np.testing.assert_allclose(inferred.data, recorded.data, rtol=0, atol=1e-12)
+    assert inferred._parents == () and not inferred.requires_grad
+    if num_experts == 8:
+        assert len(np.unique(gate.selected)) < 8
+
+
+def test_inference_forward_with_dropout_equals_the_recording_forward():
+    """An rng with record=False: each selection slot's masked copy of x gets
+    its own stacked in-product, so the value is the recording forward's
+    under the same masks, and not the undropped one."""
+    layer = make_layer(6, 5, num_experts=4, k=2, seed=94, dropout_rate=0.5)
+    randomize_adapters(layer, 95)
+    x = Tensor(Rng(96).normal((7, 6)))
+    recorded, _ = layer.forward(x, rng=Rng(97))
+    inferred, _ = layer.forward(x, rng=Rng(97), record=False)
+    undropped, _ = layer.forward(x, record=False)
+    np.testing.assert_allclose(inferred.data, recorded.data, rtol=0, atol=1e-12)
+    assert np.abs(inferred.data - undropped.data).max() > 1e-3

@@ -93,6 +93,38 @@ class TestRoundTrip:
             assert p.data.tobytes() == restored.named_parameters()[name].data.tobytes()
 
 
+class TestSharedBase:
+    def test_loads_share_one_read_only_base(self, tmp_path):
+        model = trained_model(steps=1)
+        path = tmp_path / "model.ckpt"
+        save(model, path)
+        first, second = load(path), load(path)
+        for name, p in first.named_parameters().items():
+            assert (p.data is second.named_parameters()[name].data) == (not p.requires_grad), name
+        with pytest.raises(ValueError, match="read-only"):
+            first.blocks[0].adapted["q"].frozen.data[0, 0] = 1.0
+        # a built model keeps private, writable arrays
+        assert model.blocks[0].adapted["q"].frozen.data.flags.writeable
+        private = load(path)
+        for p in private.named_parameters().values():
+            if not p.requires_grad:
+                p.data = p.data.copy()
+        ids = [[5, 99, 3, 61], [7, 1, 1, 30]]
+        for record in (True, False):
+            np.testing.assert_array_equal(first.forward(ids, record=record).logits.data,
+                                          private.forward(ids, record=record).logits.data)
+
+    def test_other_base_shares_nothing(self, tmp_path):
+        path, other_path = tmp_path / "model.ckpt", tmp_path / "other.ckpt"
+        save(trained_model(steps=1), path)
+        save(AdaptedModel.build(small_config(seed=9)), other_path)
+        held, other = load(path), load(other_path)
+        held_ids = {id(p.data) for p in held.named_parameters().values()}
+        assert not any(id(p.data) in held_ids for p in other.named_parameters().values())
+        with pytest.raises(BaseMismatchError):
+            load(path, config=small_config(seed=9))
+
+
 class TestAdapterOnly:
     def test_file_holds_only_trainable_parameters(self, tmp_path):
         model = trained_model(steps=1)

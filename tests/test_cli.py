@@ -112,6 +112,7 @@ class TestTrain:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key, value", [("batch_size", "0"), ("metrics_every", "0"),
                                             ("cutoff_len", "0"), ("cutoff_len", "-2"),
+                                            ("cutoff_len", "65"),
                                             ("steps", "-3"), ("epochs", "-1"),
                                             ("lr_decay", "2"), ("lr_decay", "-0.5"),
                                             ("lr", "-1"), ("weight_decay", "-1"),
@@ -180,9 +181,12 @@ class TestTrain:
     def test_model_keys_settable_by_flag(self, tmp_path):
         assert run_cli(*train_args(tmp_path, steps="0", precision="f32", **{
             "num-heads": "2", "vocab-size": "128", "max-seq-len": "16"})) == 0
-        config = load(next((tmp_path / "runs").iterdir()) / "model.ckpt").config
+        run_dir = next((tmp_path / "runs").iterdir())
+        config = load(run_dir / "model.ckpt").config
         assert (config.precision, config.num_heads, config.vocab_size,
                 config.max_seq_len) == ("f32", 2, 128, 16)
+        # the default cutoff (64) shrinks to the shorter max_seq_len
+        assert json.loads((run_dir / "config.json").read_text())["cutoff_len"] == 16
 
     def test_bad_config_values_rejected(self, tmp_path, capsys):
         # values outside a key's type or choices fail like the same bad flag would
@@ -212,6 +216,13 @@ class TestTrain:
         for name in ("metrics.csv", "model.ckpt"):
             a, b = (next((tmp_path / out).iterdir()) / name for out in ("a", "b"))
             assert a.read_bytes() == b.read_bytes(), name
+
+    def test_empty_jsonl_prompt_rejected_before_the_run(self, tmp_path, capsys):
+        data = tmp_path / "empty_prompt.jsonl"
+        data.write_text('{"prompt": "", "label": "a"}\n{"prompt": "ab=", "label": "b"}\n')
+        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2")) == 1
+        assert "line 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_final_accuracies_come_from_the_last_logged_row(self, tmp_path, monkeypatch):
         # the summary reuses the accuracies logged on the final weights; only a

@@ -132,6 +132,13 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 1.*label"):
             load_jsonl(path)
 
+    def test_empty_prompt_names_line_number(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"prompt": "ab=", "label": "a"}\n'
+                        '{"prompt": "", "label": "b"}\n')
+        with pytest.raises(ValueError, match="line 2.*prompt"):
+            load_jsonl(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
