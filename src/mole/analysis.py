@@ -20,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .adapters import ADAPTED_TAGS, AdaptedLinear
+from .checkpoint import atomic_write
 from .model import AdaptedModel, length_batches
 
 ATTENTION_TAGS = ("q", "k", "v", "o")
@@ -89,7 +90,7 @@ class AccuracyMatrix:
         return cls.from_rows(rows, domains=header)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path, encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.domains)
             for row in self.values:
@@ -195,8 +196,9 @@ def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
     """Stream a dataset through the model in eval mode and aggregate, per
     router, how often each expert is selected and its mean fusion weight.
 
-    One forward per prompt length over every row, recording no graph
-    (`record=False`), so each length group's gates are all it keeps."""
+    One pass of the block trunk per prompt length over every row, recording
+    no graph (`record=False`) and skipping the final norm and head, whose
+    logits it would not read, so each length group's gates are all it keeps."""
     examples = list(examples)
     if not examples:
         raise ValueError("router_stats needs a non-empty dataset")
@@ -208,8 +210,8 @@ def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
                                           selection_counts=[0] * n,
                                           weight_sums=[0.0] * n)
     for _, ids in length_batches(examples):
-        result = model.forward(ids, record=False)
-        for (j, tag), gate in result.gates.items():
+        _, gates = model.trunk(ids, record=False)
+        for (j, tag), gate in gates.items():
             entry = usage[(j, tag)]
             tokens, n = gate.probs.shape
             entry.tokens += tokens
@@ -258,14 +260,15 @@ def dumps_report(report: dict) -> str:
 
 
 def emit_report(report: dict, fmt: str, path) -> None:
-    """Write a report as canonical JSON or as stable-ordered CSV sections."""
+    """Write a report as canonical JSON or as stable-ordered CSV sections,
+    atomically (:func:`~mole.checkpoint.atomic_write`)."""
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             fh.write(dumps_report(report))
         return
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}; expected csv or json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         first = True
         if "config" in report:

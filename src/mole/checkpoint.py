@@ -12,7 +12,8 @@ blob from a shape mismatch from a base that no longer regenerates.
 Loaded models share their frozen base: every live model loaded on one base
 digest holds the same read-only arrays, so keeping many loaded models costs
 one base, not one each. A model built directly keeps private, writable
-arrays.
+arrays. No load draws the adapter initialisations that the file
+overwrites.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import os
 import struct
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +73,25 @@ def _base_sha256(model: AdaptedModel) -> str:
     return digest.hexdigest()
 
 
-def save(model: AdaptedModel, path) -> None:
-    """Write the trainable parameters and the base digest to `path`.
+@contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Open a file beside `path` for writing and rename it over `path` when
+    the block ends, so a write that fails part-way leaves any earlier file
+    untouched and no temporary file behind. `mode` and `kwargs` go to open."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
-    The file is written beside `path` and then renamed over it, so a save
-    that fails part-way leaves any earlier checkpoint untouched.
-    """
+
+def save(model: AdaptedModel, path) -> None:
+    """Write the trainable parameters and the base digest to `path`,
+    atomically (:func:`atomic_write`)."""
     params = model.trainable_parameters()
     header = {
         "format_version": FORMAT_VERSION,
@@ -86,20 +101,13 @@ def save(model: AdaptedModel, path) -> None:
         "params": [{"name": name, "shape": list(p.shape)} for name, p in params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(header_bytes)))
-            fh.write(header_bytes)
-            for p in params.values():
-                fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", FORMAT_VERSION))
+        fh.write(struct.pack("<Q", len(header_bytes)))
+        fh.write(header_bytes)
+        for p in params.values():
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -143,7 +151,7 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
                 config = ToyTransformerConfig.from_dict(stored_config)
             except (TypeError, ValueError, KeyError) as err:
                 raise CorruptHeaderError(f"invalid stored config: {err}") from err
-        model = AdaptedModel.build(config)
+        model = AdaptedModel(config, draw_adapters=False)
         params = model.trainable_parameters()
         if [e["name"] for e in entries] != list(params.keys()):
             stored = {e["name"] for e in entries}
@@ -157,10 +165,8 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
             if shape != target.shape:
                 raise ShapeMismatchError(
                     f"parameter {name}: stored shape {shape}, model expects {target.shape}")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            blob = _read_exact(fh, count * 8, f"blob for {name}")
-            values = np.frombuffer(blob, dtype="<f8").reshape(shape)
-            target.data[...] = values.astype(target.dtype)
+            blob = _read_exact(fh, target.data.size * 8, f"blob for {name}")
+            target.data[...] = np.frombuffer(blob, dtype="<f8").reshape(shape)
         trailing = fh.read(1)
         if trailing:
             raise CorruptHeaderError("trailing bytes after final parameter blob")

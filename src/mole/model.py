@@ -97,7 +97,8 @@ class ForwardResult:
 class Block:
     """One pre-layer-norm decoder block; all seven linear maps are adapted."""
 
-    def __init__(self, config: ToyTransformerConfig, layer_index: int, rng: Rng):
+    def __init__(self, config: ToyTransformerConfig, layer_index: int, rng: Rng,
+                 draw_adapters: bool = True):
         d = config.d_model
         dtype = config.dtype
         n = config.allocation.counts[layer_index]
@@ -117,10 +118,12 @@ class Block:
                                              std=1.0 / np.sqrt(in_dim), dtype=dtype)
             experts = [LoraExpert(in_dim, out_dim, config.rank, alpha=config.alpha,
                                   dropout_rate=config.dropout,
-                                  rng=rng.child("expert", tag, i), dtype=dtype)
+                                  rng=rng.child("expert", tag, i) if draw_adapters else None,
+                                  dtype=dtype)
                        for i in range(n)]
             router = Router(in_dim, n, k, layer_index=layer_index, tag=tag,
-                            rng=rng.child("router", tag), dtype=dtype)
+                            rng=rng.child("router", tag) if draw_adapters else None,
+                            dtype=dtype)
             self.adapted[tag] = AdaptedLinear(w0, experts, router)
 
     def _apply(self, tag: str, x: Tensor, rng: Rng | None, adapters_on: bool,
@@ -191,7 +194,10 @@ class Block:
 class AdaptedModel:
     """Frozen toy transformer plus trainable routed adapters."""
 
-    def __init__(self, config: ToyTransformerConfig):
+    def __init__(self, config: ToyTransformerConfig, draw_adapters: bool = True):
+        """Build the model the config's seed draws. With `draw_adapters`
+        false the router weights and expert out-factors start at zero instead
+        of their seeded draws (a load overwrites them)."""
         self.config = config
         self.step = 0
         dtype = config.dtype
@@ -200,7 +206,7 @@ class AdaptedModel:
             (config.vocab_size, config.d_model), dtype=dtype))
         self.pos_emb = Tensor(rng.child("pos_emb").normal(
             (config.max_seq_len, config.d_model), dtype=dtype))
-        self.blocks = [Block(config, j, rng.child("layer", j))
+        self.blocks = [Block(config, j, rng.child("layer", j), draw_adapters)
                        for j in range(config.num_layers)]
         self.final_gain = Tensor(np.ones(config.d_model, dtype=dtype))
         self.final_bias = Tensor(np.zeros(config.d_model, dtype=dtype))
@@ -231,10 +237,9 @@ class AdaptedModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _check_tokens(self, token_ids) -> tuple[np.ndarray, bool]:
+    def _check_tokens(self, token_ids) -> np.ndarray:
         ids = np.asarray(token_ids)
-        squeeze = ids.ndim == 1
-        if squeeze:
+        if ids.ndim == 1:
             ids = ids[None, :]
         if ids.ndim != 2 or ids.shape[1] < 1:
             raise ValueError(f"token ids must be (seq,) or (batch, seq), got {ids.shape}")
@@ -243,7 +248,24 @@ class AdaptedModel:
                 f"sequence length {ids.shape[1]} exceeds max_seq_len {self.config.max_seq_len}")
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ValueError(f"token ids out of range for vocab {self.config.vocab_size}")
-        return ids.astype(np.intp), squeeze
+        return ids.astype(np.intp)
+
+    def trunk(self, token_ids, rng: Rng | None = None, adapters_on: bool = True,
+              record: bool = True, last_row: bool = False
+              ) -> tuple[Tensor, dict[tuple[int, str], GateBatch]]:
+        """The embeddings and every block, without the final norm and head:
+        the (batch, rows, d) residual stream and each adapted matrix's gate,
+        keyed by (layer, tag). The switches are :meth:`forward`'s; a flat
+        sequence counts as a batch of one."""
+        ids = self._check_tokens(token_ids)
+        seq = ids.shape[1]
+        x = take_rows(self.tok_emb, ids) + take_rows(self.pos_emb, np.arange(seq))
+        mask = np.triu(np.full((seq, seq), _NEG_INF, dtype=self.config.dtype), k=1)
+        gates: dict[tuple[int, str], GateBatch] = {}
+        top = len(self.blocks) - 1
+        for j, block in enumerate(self.blocks):
+            x = block.forward(x, mask, rng, adapters_on, gates, record, last_row and j == top)
+        return x, gates
 
     def forward(self, token_ids, rng: Rng | None = None, adapters_on: bool = True,
                 record: bool = True, last_row: bool = False) -> ForwardResult:
@@ -259,29 +281,23 @@ class AdaptedModel:
         require grad, the routers then read their data, and each adapted
         matrix runs the stacked expert product
         (:func:`~mole.adapters.stacked_lora`), so each op's intermediates are
-        freed as the forward moves on.
+        freed as the forward moves on. Nothing reads a balance loss there, so
+        none is built: `aux_loss` is the zero scalar, as with the adapters off.
         With `last_row` (inference and :func:`train_step`) the last block
         runs its q, o and MLP, and the final norm and head run, on each
         sequence's last position only, so the seq axis of the logits has
         length 1 and that block's five query-side routers gate only those
         rows; k and v still see every position.
         """
-        ids, squeeze = self._check_tokens(token_ids)
-        batch, seq = ids.shape
-        x = take_rows(self.tok_emb, ids) + take_rows(self.pos_emb, np.arange(seq))
-        mask = np.triu(np.full((seq, seq), _NEG_INF, dtype=self.config.dtype), k=1)
-        gates: dict[tuple[int, str], GateBatch] = {}
-        top = len(self.blocks) - 1
-        for j, block in enumerate(self.blocks):
-            x = block.forward(x, mask, rng, adapters_on, gates, record, last_row and j == top)
-        rows = x.shape[1]
+        x, gates = self.trunk(token_ids, rng, adapters_on, record, last_row)
+        batch, rows, d = x.shape
         x = layer_norm(x, self.final_gain, self.final_bias, LN_EPS)
-        flat = x.reshape(batch * rows, self.config.d_model)
+        flat = x.reshape(batch * rows, d)
         logits = matmul(flat, self.head.transpose()).reshape(batch, rows, self.config.vocab_size)
         # the mean over routers: scale-stable across allocations
-        aux = balance_loss_tensor(list(gates.values())) if adapters_on \
+        aux = balance_loss_tensor(list(gates.values())) if adapters_on and record \
             else Tensor(np.zeros((), dtype=self.config.dtype))
-        if squeeze:
+        if np.ndim(token_ids) == 1:
             logits = logits.reshape(rows, self.config.vocab_size)
         return ForwardResult(logits=logits, aux_loss=aux, gates=gates)
 

@@ -214,8 +214,12 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x), the gating nonlinearity of the MLP blocks."""
-    sig = 1.0 / (1.0 + np.exp(-a.data))
+    """x * sigmoid(x), the gating nonlinearity of the MLP blocks. The
+    sigmoid is built in place, in one array, which the backward keeps."""
+    sig = np.negative(a.data)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     out_data = a.data * sig
 
     def backward(grad):
@@ -228,11 +232,13 @@ def silu(a: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Normalise each row of `x` over its last axis to zero mean and unit
     variance, then scale by `gain` and shift by `bias` (both of that axis's
-    size)."""
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    normed = centered * inv_std
-    out_data = normed * gain.data + bias.data
+    size). The centred rows are normalised in place and kept for the
+    backward."""
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + eps)
+    normed *= inv_std
+    out_data = normed * gain.data
+    out_data += bias.data
 
     def backward(grad):
         if x.requires_grad:

@@ -250,6 +250,21 @@ class TestRouterStats:
             np.testing.assert_allclose(entry.weight_sums, sums[key], rtol=1e-12)
 
 
+    def test_counts_do_not_touch_the_head(self):
+        # router_stats reads gates only, so it runs the trunk and stops
+        # before the final norm and head: an infinite head changes nothing
+        model = small_model(counts=(2, 4), k=2, seed=19)
+        for name, p in model.trainable_parameters().items():
+            p.data[:] = Rng(20).child(name).normal(p.shape, std=0.3)
+        examples = generate_task("copy", 10, seed=21).train
+        before = router_stats(model, examples)
+        model.head.data[:] = np.inf
+        with np.errstate(invalid="raise"):
+            after = router_stats(model, examples)
+        assert [(u.tokens, u.selection_counts, u.weight_sums) for u in after] == \
+            [(u.tokens, u.selection_counts, u.weight_sums) for u in before]
+
+
 class TestEmitReport:
     def test_redundancy_csv_has_one_row_per_layer(self, tmp_path):
         model = small_model(counts=(2, 2))
@@ -276,6 +291,32 @@ class TestEmitReport:
         metrics = report["metrics"]
         assert metrics["overall_performance"] * 100 == pytest.approx(78.67, abs=0.01)
         assert metrics["performance_drop"] * 100 == pytest.approx(-2.17, abs=0.01)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_write_keeps_earlier_report(self, tmp_path, fmt):
+        path = tmp_path / f"report.{fmt}"
+        report = build_report(model=small_model(counts=(2, 2)))
+        emit_report(report, fmt, path)
+        earlier = path.read_bytes()
+        # the last section cannot be written: json fails to encode it, csv
+        # fails on it after the earlier sections are written
+        report["metrics"] = {"overall_performance": object(), "performance_drop": 0.0}
+        with pytest.raises(TypeError):
+            emit_report(report, fmt, path)
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_failed_matrix_write_keeps_earlier_csv(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        matrix = AccuracyMatrix.from_rows([[0.9, None], [0.8, 0.95]])
+        matrix.to_csv(path)
+        earlier = path.read_bytes()
+        # a cell that is no number fails the write after the header row
+        matrix.values = np.array([[0.5, None], [0.6, 0.7]], dtype=object)
+        with pytest.raises(TypeError):
+            matrix.to_csv(path)
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["matrix.csv"]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):

@@ -125,6 +125,27 @@ class TestSharedBase:
             load(path, config=small_config(seed=9))
 
 
+class TestLoadDraws:
+    def test_load_draws_no_adapter_initialisation(self, tmp_path, monkeypatch):
+        # the file overwrites every router and expert factor, so a load draws
+        # only the frozen base
+        model = trained_model(steps=2)
+        path = tmp_path / "model.ckpt"
+        save(model, path)
+        labels = []
+        child = Rng.child
+
+        def counted_child(self, *names):
+            labels.append(names[0])
+            return child(self, *names)
+
+        monkeypatch.setattr(Rng, "child", counted_child)
+        loaded = load(path)
+        assert labels and not {"expert", "router"} & set(labels)
+        for name, p in model.named_parameters().items():
+            assert loaded.named_parameters()[name].data.tobytes() == p.data.tobytes(), name
+
+
 class TestAdapterOnly:
     def test_file_holds_only_trainable_parameters(self, tmp_path):
         model = trained_model(steps=1)

@@ -332,6 +332,49 @@ class TestAnalyze:
         assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2",
                                    **{"cutoff-len": "32"})) == 0
 
+    def test_dataset_cut_at_the_checkpoint_max_seq_len(self, tmp_path, capsys):
+        # prompts of 21 tokens: training cuts them to max_seq_len 16, and so
+        # must the analysis of its checkpoint
+        data = tmp_path / "long.jsonl"
+        data.write_text("".join(json.dumps({"prompt": "x" * 19 + f"{c}=", "label": c}) + "\n"
+                                for c in "ab" * 3))
+        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2",
+                                   **{"max-seq-len": "16"})) == 0
+        ckpt = next((tmp_path / "runs").iterdir()) / "model.ckpt"
+        capsys.readouterr()
+        assert run_cli("analyze", "--checkpoint", str(ckpt), "--dataset", f"jsonl:{data}") == 0
+        report = json.loads(capsys.readouterr().out)
+        # every router saw whole prompts of 16 tokens
+        assert all(entry["tokens"] > 0 and entry["tokens"] % 16 == 0
+                   for entry in report["router_stats"])
+
+
+class TestHeapPolicy:
+    def test_main_runs_without_mallopt(self, monkeypatch, capsys):
+        import mole.cli
+
+        monkeypatch.setattr(mole.cli.ctypes, "CDLL", lambda name: object())
+        assert run_cli("params", "--dims", "toy-default", "--alloc", "counts=2,2,2,2") == 0
+        assert "trainable_params" in capsys.readouterr().out
+
+    def test_main_pads_the_heap_on_glibc_only(self, monkeypatch):
+        import mole.cli
+
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(mole.cli.ctypes, "CDLL", lambda name: Libc())
+        monkeypatch.setattr(mole.cli.os, "confstr", lambda name: "glibc 2.36")
+        assert run_cli("params", "--dims", "toy-default", "--alloc", "counts=2,2,2,2") == 0
+        assert calls == [(-2, 64 << 20)]   # M_TOP_PAD
+        monkeypatch.setattr(mole.cli.os, "confstr", lambda name: None)
+        assert run_cli("params", "--dims", "toy-default", "--alloc", "counts=2,2,2,2") == 0
+        assert len(calls) == 1
+
 
 class TestContinual:
     def test_identical_domains_flag_repeats_first_domain(self, tmp_path, capsys):

@@ -564,6 +564,22 @@ class TestInference:
         result.aux_loss.backward()
         assert all(p.grad is None for p in model.trainable_parameters().values())
 
+    def test_inference_forward_builds_no_balance_loss(self, monkeypatch):
+        import mole.model
+
+        def refuse(gates):
+            raise AssertionError("a graph-free forward built a balance loss")
+
+        model = self.inverted_model(64)
+        monkeypatch.setattr(mole.model, "balance_loss_tensor", refuse)
+        for last_row in (False, True):
+            result = model.forward([[3, 9, 14, 2], [7, 1, 1, 30]], record=False,
+                                   last_row=last_row)
+            assert result.aux_loss.shape == () and result.aux_loss.item() == 0.0
+            assert len(result.gates) == 4 * 7
+        with pytest.raises(AssertionError, match="balance loss"):
+            model.forward([[3, 9, 14, 2]])
+
     def test_evaluate_memory_does_not_grow_with_a_graph(self):
         # the recording forward peaked at about 500 MB here, the graph-free one
         # at about 80 MB

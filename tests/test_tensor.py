@@ -167,6 +167,21 @@ class TestStructuralOps:
         result = grad_check(f, {"x": x, "gain": gain, "bias": bias})
         assert result.passed, result.summary()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_in_place_ops_bitwise_equal_the_plain_expressions(self, dtype, requires_grad):
+        data = Rng(9).normal((3, 5, 8), std=3.0, dtype=dtype)
+        gain, bias = Rng(10).normal((8,), dtype=dtype), Rng(11).normal((8,), dtype=dtype)
+        centered = data - data.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+        expected = centered * inv_std * gain + bias
+        out = layer_norm(Tensor(data, requires_grad=requires_grad), Tensor(gain),
+                         Tensor(bias), 1e-5)
+        assert out.dtype == dtype and out.data.tobytes() == expected.tobytes()
+        out = silu(Tensor(data, requires_grad=requires_grad))
+        expected = data * (1.0 / (1.0 + np.exp(-data)))
+        assert out.dtype == dtype and out.data.tobytes() == expected.tobytes()
+
     def test_silu_grad(self):
         x = tensor([[-2.0, -0.5, 0.0, 0.5, 2.0]], requires_grad=True)
         assert grad_check(lambda: (silu(x) * silu(x)).sum(), {"x": x}).passed
