@@ -8,22 +8,20 @@ most probable experts per token and fuses their outputs with renormalized
 softmax weights. A switch-style load-balancing loss keeps expert workloads
 equitable.
 
-A recorded forward (training, gradient checks) runs an adapted matrix as one
-op (:func:`routed_lora`): the frozen product plus a grouped dispatch in which
-each expert that some token selected runs only on the rows routed to it, so
-the work grows with K, not with the expert count N. That op also
-differentiates the top-K renormalisation, so an adapted matrix records three
-graph nodes whatever N is: its router's logits, their softmax, and the routed
-op. The balance loss is one more node per forward, over all routers at once.
-An expert that no token selected is never run and its factors receive no
-gradient. Dropout is one mask draw per matrix, one mask per (token, selection
-slot), so two identical experts still see different masks.
-
-A forward that records nothing (inference) computes the same value with
-:func:`stacked_lora`: one product of x with all N experts' in-factors
-stacked, a dense gate that zeroes the experts a token did not select, and one
-product with the out-factors stacked. Its work grows with N * rank, not with
-K; it replaces N gathers and scatters with two matrix products.
+An adapted matrix runs as one stacked expert product (:func:`stacked_lora`):
+the product of x with all N experts' in-factors stacked, a dense gate that
+zeroes the experts a token did not select, one product with the out-factors
+stacked, and the frozen product. Its work grows with N * rank, not with K,
+and the number of its matrix products does not grow with N (only the
+backward's hand-off of each expert's gradient slices does). Training,
+gradient checks and inference run this one formula; a recorded forward makes
+it one graph node whose hand-written backward is the same products
+transposed and also differentiates the top-K renormalisation. So an adapted
+matrix records three graph nodes whatever N is: its router's logits, their
+softmax, and the stacked op. The balance loss is one more node per forward,
+over all routers at once. An expert that no token selected gets exact-zero
+factor gradients. Dropout is one mask draw per matrix, one mask per (token,
+selection slot), so two identical experts still see different masks.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ class GateBatch:
     `selected` (tokens, K) lists the chosen expert indices in ascending order
     and `weights` (tokens, K) their probabilities renormalised to sum to one;
     `probs` is the dense (tokens, num_experts) softmax. Only `probs` is in the
-    autodiff graph: `weights` is a plain array, and :func:`routed_lora` sends
+    autodiff graph: `weights` is a plain array, and :func:`stacked_lora` sends
     its gradient through the renormalisation to `probs`.
     """
 
@@ -126,21 +124,13 @@ class LoraExpert:
         """The dense (out_dim, in_dim) update this expert encodes, unscaled."""
         return self.out_factor.data @ self.in_factor.data
 
-    def delta(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unscaled update of the input rows (rows, in_dim) routed to this
-        expert: returns (rows @ in_factor.T @ out_factor.T, the rank-space
-        product rows @ in_factor.T that the backward reuses)."""
-        low = rows @ self.in_factor.data.T
-        return low @ self.out_factor.data.T, low
-
 
 def expert_delta(expert: LoraExpert, x) -> np.ndarray:
     """Apply one expert's scaled update to a single token vector."""
     vec = np.asarray(x, dtype=expert.in_factor.dtype)
     if vec.shape != (expert.in_dim,):
         raise ValueError(f"expected input of shape ({expert.in_dim},), got {vec.shape}")
-    up, _ = expert.delta(vec[None, :])
-    return expert.scaling * up[0]
+    return expert.scaling * (expert.out_factor.data @ (expert.in_factor.data @ vec))
 
 
 class Router:
@@ -171,7 +161,7 @@ class Router:
 
         The logits and their softmax `probs` are the gate's graph nodes.
         `weights`, the selected probabilities renormalised to sum to one, is a
-        plain array; :func:`routed_lora` differentiates it. With `record`
+        plain array; :func:`stacked_lora` differentiates it. With `record`
         false the logits use the weight's data, so nothing is recorded.
         """
         logits = matmul(x, self.weight if record else self.weight.data)  # (tokens, N)
@@ -240,122 +230,102 @@ def balance_loss_tensor(gates: list[GateBatch]) -> Tensor:
     return _make(np.asarray(total * share, dtype=probs[0].dtype), probs, backward)
 
 
-def routed_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[LoraExpert],
-                keep: np.ndarray | None, scale: float) -> Tensor:
+def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[LoraExpert],
+                 keep: np.ndarray | None, scale: float, record: bool = True) -> Tensor:
     """One adapted matrix: x @ frozen.T plus each token's selected expert
-    updates, weighted by the gate's renormalised weights times `scale`.
+    updates, weighted by the gate's renormalised weights times `scale`, as
+    one stacked expert product.
 
-    For each expert i that some token selected, with (tok, slot) the places
-    where ``gate.selected == i``, the output rows tok receive
-    weights[tok, slot] * scale * (x[tok] * keep[tok, slot]) @ A_i.T @ B_i.T,
-    with A the in-factor and B the out-factor. `keep` is the (tokens, K,
-    in_dim) dropout mask, or None for no dropout. An expert whose rows are all
-    the tokens skips the gather and the scatter.
+    x @ [A_1; ...; A_N].T gives every expert's (tokens, rank) block at once,
+    with A the in-factors; each block is scaled by a dense (tokens, N) gate
+    that holds weights * scale at the token's selected experts and 0
+    elsewhere, and one product with the out-factors [B_1, ..., B_N] sums the
+    updates onto x @ frozen.T. The work is N * rank * (in_dim + out_dim) per
+    token, whatever K. `keep` is the (tokens, K, in_dim) dropout mask, or
+    None: with it, each selection slot's masked copy of x gets its own
+    in-product, gated at that slot's expert only.
 
-    The expert work is K rows per token whatever the expert count. The
-    parents are x, `gate.probs` and the routed experts' factors; `frozen` and
-    `weights` are plain arrays. The op keeps each expert's rank-space product
+    Without `record` the result is a plain tensor. With it the op is one
+    graph node whose parents are x, `gate.probs` and every expert's factors;
+    `frozen` and `weights` are plain arrays. The node keeps the gated
+    product, the dense gates, each slot's rank rows at its selected experts
     and, for dropout, the mask's kept flags (one byte an entry) and its one
-    kept value; the backward gathers and drops each
-    expert's input rows again. The backward sends gradients to x (from
-    grad @ frozen on), to each routed expert's factors and, through the
-    renormalisation, to the selected probabilities: for a token with selected
-    set S, weights w and dw = d loss / d w, dp_S = (dw - <dw, w>) / sum(p_S).
+    kept value. The backward is the stacked products transposed: with
+    h = grad @ [B_1, ..., B_N], the out-factors get grad.T @ gated, and per
+    slot dlow = h * gate gives the in-factors dlow.T @ masked(x) and x
+    masked(dlow @ [A_1; ...; A_N]), after grad @ frozen. So an expert no
+    token selected gets exact-zero gradients. The weights get
+    dw[t, s] = scale * <h, low> at slot s's expert, and the renormalisation
+    sends it to the selected probabilities: for a token with selected set S,
+    weights w and dw, dp_S = (dw - <dw, w>) / sum(p_S).
     """
     weights, probs, selected = gate.weights, gate.probs, gate.selected
     tokens, k = selected.shape
-    row = np.arange(tokens)[:, None]
-    # Group the (token, slot) pairs by expert. The sort is stable, so each
-    # group lists its tokens in ascending order, at most once each.
-    order = np.argsort(selected, axis=None, kind="stable")
-    tok, slot = np.divmod(order, k)
-    expert_of = selected.reshape(-1)[order]
-    bounds = np.searchsorted(expert_of, np.arange(len(experts) + 1))
-    weight = (weights[tok, slot] * scale)[:, None]
-    mask = None if keep is None else keep[tok, slot]
-    out = x.data @ frozen.T
-    routes = []
-    for i in np.flatnonzero(np.diff(bounds)):
-        a, b = bounds[i], bounds[i + 1]
-        at = slice(None) if b - a == tokens else tok[a:b]
-        rows = x.data[at] if mask is None else x.data[at] * mask[a:b]
-        up, low = experts[i].delta(rows)
-        up *= weight[a:b]
-        out[at] += up
-        routes.append((experts[i], a, b, at, low))
-    # the graph holds no (pairs, in_dim) float array: see the docstring
-    flags, value = (None, None) if mask is None else (mask != 0, mask.max(initial=0.0))
-
-    def masked(t: np.ndarray, a: int, b: int) -> np.ndarray:
-        """t * mask[a:b], rounded alike: times the value, then the flags."""
-        if flags is None:
-            return t
-        t = t * value
-        t *= flags[a:b]
-        return t
-
-    def backward(grad):
-        dx = grad @ frozen if x.requires_grad else None
-        dweight = np.empty(order.size, dtype=x.dtype)   # d loss / d weight, per pair
-        for expert, a, b, at, low in routes:
-            rows = masked(x.data[at], a, b)
-            g = grad[at]
-            h = g @ expert.out_factor.data                 # (rows, rank)
-            np.einsum("rk,rk->r", h, low, out=dweight[a:b])
-            h *= weight[a:b]
-            expert.out_factor._accumulate(g.T @ (low * weight[a:b]))
-            expert.in_factor._accumulate(h.T @ rows)
-            if dx is not None:
-                dx[at] += masked(h @ expert.in_factor.data, a, b)
-        if dx is not None:
-            x._accumulate(dx)
-        if probs.requires_grad:
-            dsel = np.empty(selected.shape, dtype=x.dtype)     # d loss / d weights
-            dsel[tok, slot] = scale * dweight
-            dsel -= (dsel * weights).sum(axis=-1, keepdims=True)
-            dsel /= probs.data[row, selected].sum(axis=-1, keepdims=True)  # now d loss / d p_S
-            dprobs = np.zeros_like(probs.data)
-            dprobs[row, selected] = dsel
-            probs._accumulate(dprobs)
-
-    factors = [t for route in routes for t in (route[0].in_factor, route[0].out_factor)]
-    return _make(out, (x, probs, *factors), backward)
-
-
-def stacked_lora(x: np.ndarray, frozen: np.ndarray, gate: GateBatch,
-                 experts: list[LoraExpert], keep: np.ndarray | None,
-                 scale: float) -> np.ndarray:
-    """The value of :func:`routed_lora`, recording nothing, as one stacked
-    expert product.
-
-    x @ [A_1; ...; A_N].T gives every expert's (tokens, rank) block at once;
-    each block is scaled by a dense (tokens, N) gate that holds weights *
-    scale at the token's selected experts and 0 elsewhere, and one product
-    with [B_1, ..., B_N] sums the updates onto x @ frozen.T. The work is
-    N * rank * (in_dim + out_dim) per token, whatever K. With a dropout mask
-    `keep` each selection slot's masked copy of x gets its own in-product,
-    gated at that slot's expert only.
-    """
-    tokens, k = gate.selected.shape
     n, rank = len(experts), experts[0].rank
     stacked_in = np.concatenate([e.in_factor.data for e in experts])            # (N r, in)
     stacked_out = np.concatenate([e.out_factor.data for e in experts], axis=1)  # (out, N r)
     row = np.arange(tokens)[:, None]
+    saved = []      # per slot group: its dense gate and its rank rows at its experts
 
-    def gated(rows: np.ndarray, slots) -> np.ndarray:
+    def slot_product(rows: np.ndarray, slots) -> np.ndarray:
         dense = np.zeros((tokens, n), dtype=x.dtype)
-        dense[row, gate.selected[:, slots]] = gate.weights[:, slots] * scale
+        dense[row, selected[:, slots]] = weights[:, slots] * scale
         low = (rows @ stacked_in.T).reshape(tokens, n, rank)
+        if record:
+            saved.append((slots, dense, low[row, selected[:, slots]]))
         low *= dense[:, :, None]
         return low
 
     if keep is None:
-        low = gated(x, slice(None))
+        gated = slot_product(x.data, slice(None))
     else:
-        low = sum(gated(x * keep[:, s], [s]) for s in range(k))
-    out = low.reshape(tokens, n * rank) @ stacked_out.T
-    out += x @ frozen.T
-    return out
+        gated = sum(slot_product(x.data * keep[:, s], [s]) for s in range(k))
+    gated = gated.reshape(tokens, n * rank)
+    out = gated @ stacked_out.T
+    out += x.data @ frozen.T
+    if not record:
+        return Tensor(out)
+    # the graph holds no (tokens, K, in_dim) float array: see the docstring
+    flags, value = (None, None) if keep is None else (keep != 0, keep.max(initial=0.0))
+
+    def masked(t: np.ndarray, slots) -> np.ndarray:
+        """t * keep[:, slot], rounded alike: times the value, then the flags."""
+        if flags is None:
+            return t
+        t = t * value
+        t *= flags[:, slots[0]]
+        return t
+
+    def backward(grad):
+        stacked_in = np.concatenate([e.in_factor.data for e in experts])
+        stacked_out = np.concatenate([e.out_factor.data for e in experts], axis=1)
+        h = grad @ stacked_out                               # (tokens, N r)
+        d_out = grad.T @ gated
+        d_in = np.zeros_like(stacked_in)
+        dx = grad @ frozen if x.requires_grad else None
+        dw = np.empty(selected.shape, dtype=x.dtype)        # d loss / d weights
+        h3 = h.reshape(tokens, n, rank)
+        for slots, dense, rows_low in saved:
+            dw[:, slots] = np.einsum("tsr,tsr->ts", h3[row, selected[:, slots]], rows_low)
+            dlow = (h3 * dense[:, :, None]).reshape(tokens, n * rank)
+            d_in += dlow.T @ masked(x.data, slots)
+            if dx is not None:
+                dx += masked(dlow @ stacked_in, slots)
+        for i, e in enumerate(experts):
+            e.out_factor._accumulate(d_out[:, i * rank:(i + 1) * rank])
+            e.in_factor._accumulate(d_in[i * rank:(i + 1) * rank])
+        if dx is not None:
+            x._accumulate(dx)
+        if probs.requires_grad:
+            dw *= scale
+            dw -= (dw * weights).sum(axis=-1, keepdims=True)
+            dw /= probs.data[row, selected].sum(axis=-1, keepdims=True)  # now d loss / d p_S
+            dprobs = np.zeros_like(probs.data)
+            dprobs[row, selected] = dw
+            probs._accumulate(dprobs)
+
+    factors = [t for e in experts for t in (e.in_factor, e.out_factor)]
+    return _make(out, (x, probs, *factors), backward)
 
 
 class AdaptedLinear:
@@ -369,13 +339,10 @@ class AdaptedLinear:
     For tokens x the output is x @ frozen.T plus, for each token and each of
     its K selected experts i, the expert's renormalised weight times
     (alpha / rank) * dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors
-    and B the out-factors. A recorded forward computes the whole formula as
-    one op (:func:`routed_lora`), grouped by expert: each expert runs once,
-    on the rows routed to it, so the matrix costs O(K) expert rows per token
-    whatever its expert count, and records three graph nodes (router logits,
-    softmax, routed op). A forward that records nothing uses
-    :func:`stacked_lora`, two stacked products whose work is O(N * rank) per
-    token.
+    and B the out-factors. The whole formula is one op,
+    :func:`stacked_lora`: two stacked expert products whose work is
+    O(N * rank) per token. A recorded forward records three graph nodes
+    (router logits, softmax, stacked op) whatever the expert count.
     """
 
     def __init__(self, frozen_weight: np.ndarray, experts: list[LoraExpert],
@@ -409,17 +376,16 @@ class AdaptedLinear:
         Returns the output and the :class:`GateBatch` so the caller can
         assemble balance losses and routing statistics. An `rng` turns dropout
         on; it applies on the adapter path only, and the frozen path sees the
-        undropped input. With `record` false the gate records nothing and
-        the output comes from :func:`stacked_lora`, with no autodiff graph.
+        undropped input. With `record` false neither the gate nor the
+        stacked op records anything, so there is no autodiff graph; the
+        value is the recorded forward's, bit for bit.
         """
         gate = self.router.gate(x, record)
         first = self.experts[0]
         keep = dropout_mask((x.shape[0], self.router.k, self.in_dim), first.dropout_rate,
                             rng, x.dtype)
-        if not record:
-            return Tensor(stacked_lora(x.data, self.frozen.data, gate, self.experts, keep,
-                                       first.scaling)), gate
-        return routed_lora(x, self.frozen.data, gate, self.experts, keep, first.scaling), gate
+        return stacked_lora(x, self.frozen.data, gate, self.experts, keep, first.scaling,
+                            record), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         params = {f"{prefix}frozen": self.frozen, f"{prefix}router": self.router.weight}

@@ -209,7 +209,10 @@ def _load_dataset(resolved: dict) -> TaskData:
 
 
 def _accuracies(model: AdaptedModel, task: TaskData) -> tuple[float, float]:
-    return evaluate(model, task.train), evaluate(model, task.eval) if task.eval else float("nan")
+    train_acc = evaluate(model, task.train)
+    if task.eval is task.train:     # a JSONL file is both splits: evaluate it once
+        return train_acc, train_acc
+    return train_acc, evaluate(model, task.eval) if task.eval else float("nan")
 
 
 def _train_loop(model: AdaptedModel, task: TaskData, resolved: dict,

@@ -276,13 +276,15 @@ class AdaptedModel:
         one the forward is deterministic. Logits keep the input's batch shape:
         (seq, vocab) for a flat sequence, (batch, seq, vocab) for a batch.
 
-        Two switches go down to every block. With `record` false (inference)
-        no autodiff graph is recorded: only router weights and expert factors
-        require grad, the routers then read their data, and each adapted
-        matrix runs the stacked expert product
-        (:func:`~mole.adapters.stacked_lora`), so each op's intermediates are
-        freed as the forward moves on. Nothing reads a balance loss there, so
-        none is built: `aux_loss` is the zero scalar, as with the adapters off.
+        Two switches go down to every block. Each adapted matrix runs one
+        stacked expert product (:func:`~mole.adapters.stacked_lora`) either
+        way. With `record` false (inference) no autodiff graph is recorded:
+        only router weights and expert factors require grad, and the routers
+        and stacked products then read their data, so each op's
+        intermediates are freed as the forward moves on and the logits equal
+        the recording forward's bit for bit. Nothing reads a balance loss
+        there, so none is built: `aux_loss` is the zero scalar, as with the
+        adapters off.
         With `last_row` (inference and :func:`train_step`) the last block
         runs its q, o and MLP, and the final norm and head run, on each
         sequence's last position only, so the seq axis of the logits has

@@ -58,7 +58,8 @@ class Example:
 
 @dataclass
 class TaskData:
-    """A named dataset with disjoint train and eval splits."""
+    """A named dataset with disjoint train and eval splits, or with one list
+    as both (a JSONL file), which `all_examples` holds once."""
 
     name: str
     train: list[Example]
@@ -66,7 +67,7 @@ class TaskData:
 
     @property
     def all_examples(self) -> list[Example]:
-        return self.train + self.eval
+        return self.train if self.eval is self.train else self.train + self.eval
 
 
 def _split(examples: list[Example], name: str) -> TaskData:

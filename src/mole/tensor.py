@@ -7,17 +7,18 @@ training runs (gradient checking is only meaningful in 64-bit).
 
 A formula with a closed-form derivative is one op with a hand-written
 backward, not a chain of elementwise ops: softmax, cross-entropy and layer
-norm here; in :mod:`mole.adapters`, an adapted matrix (frozen product, routed
-experts and top-K renormalisation: three nodes with its router's logits and
-softmax) and the balance loss over all routers (one node per forward).
+norm here; in :mod:`mole.adapters`, an adapted matrix (frozen product,
+stacked expert products and top-K renormalisation: three nodes with its
+router's logits and softmax) and the balance loss over all routers (one node
+per forward).
 
 No global state anywhere: randomness comes from an explicit, splittable
 counter-based generator (:class:`Rng`) owned by the caller, and there is no
 grad mode. An op records its parents and backward only when some parent
-requires grad; only trainable leaves do, so a forward records nothing when
-the caller passes ``record=False`` down to the ops that read the trainable
-weights (:meth:`~mole.model.AdaptedModel.forward`), and each intermediate is
-freed as soon as no later op needs it.
+requires grad; only trainable leaves do. A forward that the caller runs with
+``record=False`` (:meth:`~mole.model.AdaptedModel.forward`) computes the same
+ops and values but records nothing where they read the trainable weights, so
+each intermediate is freed as soon as no later op needs it.
 """
 
 from __future__ import annotations

@@ -343,9 +343,10 @@ def test_full_adapted_layer_grad_check(num_experts, k):
 
 def test_adapted_layer_grad_check_tied_router_logits():
     """A zero router ties every logit: each token takes experts 0 and 1 (ties
-    go to the lower index) at fusion 1/2, so two of four experts run on all
-    rows. The router is left out of the finite-difference sweep, because any
-    perturbation of it breaks the tie; the other cases check its gradient."""
+    go to the lower index) at fusion 1/2, so two of four experts serve all
+    rows and the other two get exact-zero factor gradients. The router is
+    left out of the finite-difference sweep, because any perturbation of it
+    breaks the tie; the other cases check its gradient."""
     from mole.tensor import grad_check
 
     layer = make_layer(5, 4, num_experts=4, k=2, rank=2, seed=75, dropout_rate=0.1)
@@ -365,52 +366,49 @@ def test_adapted_layer_grad_check_tied_router_logits():
     result = grad_check(f, dict(params, x=x), step=1e-5, tolerance=1e-5)
     assert result.passed, result.summary()
     for e in layer.experts[2:]:
-        assert e.in_factor.grad is None and e.out_factor.grad is None
+        np.testing.assert_array_equal(e.in_factor.grad, 0.0)
+        np.testing.assert_array_equal(e.out_factor.grad, 0.0)
 
 
-def test_expert_work_follows_k(monkeypatch):
-    """At N=8, K=1 the rows handed to LoraExpert.delta over one forward sum
-    to tokens * K; an expert no token selected is never run and its factors
-    receive no gradient."""
-    calls = []
-    delta = LoraExpert.delta
+def test_adapted_layer_grad_check_at_cli_dims():
+    """Every entry of one MLP up-projection at the CLI's dims (64 -> 172,
+    rank 8, N=8, K=2, dropout 0.05) against central differences in 64-bit,
+    with experts that no token selected: those get exact-zero gradients. The
+    loss is the cross-entropy alone, which keeps the sweep over its 16k
+    entries to a few seconds; the toy-size cases check the balance term."""
+    from mole.tensor import grad_check
 
-    def counted(expert, rows):
-        calls.append((expert, rows.shape[0]))
-        return delta(expert, rows)
+    layer = make_layer(64, 172, num_experts=8, k=2, rank=8, seed=85, dropout_rate=0.05,
+                       alpha=16.0)
+    randomize_adapters(layer, 86, std=0.1)
+    x = Tensor(Rng(87).normal((3, 64)), requires_grad=True)
+    targets = np.array([5, 170, 64])
 
-    monkeypatch.setattr(LoraExpert, "delta", counted)
-    layer = make_layer(6, 5, num_experts=8, k=1, seed=81, dropout_rate=0.1)
-    randomize_adapters(layer, 82)
-    x = Tensor(Rng(83).normal((5, 6)), requires_grad=True)
-    out, gate = layer.forward(x, rng=Rng(84))
-    (out * out).sum().backward()
+    def f():
+        return cross_entropy(layer.forward(x, rng=Rng(88))[0], targets)
 
-    assert sum(rows for _, rows in calls) == 5 * 1
-    routed = set(np.unique(gate.selected).tolist())
-    for i, e in enumerate(layer.experts):
-        ran = [rows for expert, rows in calls if expert is e]
-        if i in routed:
-            assert ran == [int(np.sum(gate.selected == i))]
-            assert np.any(e.in_factor.grad) and np.any(e.out_factor.grad)
-        else:
-            assert ran == []
-            assert e.in_factor.grad is None and e.out_factor.grad is None
-    assert len(routed) < 8
+    _, gate = layer.forward(x)
+    unselected = sorted(set(range(8)) - set(gate.selected.reshape(-1).tolist()))
+    assert unselected
+    result = grad_check(f, dict(layer.named_parameters(), x=x), step=1e-5, tolerance=1e-5)
+    assert result.passed, result.summary()
+    for i in unselected:
+        np.testing.assert_array_equal(layer.experts[i].in_factor.grad, 0.0)
+        np.testing.assert_array_equal(layer.experts[i].out_factor.grad, 0.0)
 
 
 @pytest.mark.parametrize("num_experts, k", [(2, 2), (8, 1), (8, 2)])
 def test_inference_forward_equals_the_recording_forward(num_experts, k):
-    """record=False computes the stacked expert product: the same gate and,
-    within rounding, the grouped op's value, also with experts no token
-    selected; nothing is recorded."""
+    """record=False runs the recording forward's formula: the same gate and,
+    bit for bit, the same value, also with experts no token selected;
+    nothing is recorded."""
     layer = make_layer(6, 5, num_experts=num_experts, k=k, seed=91, dropout_rate=0.1)
     randomize_adapters(layer, 92)
     x = Tensor(Rng(93).normal((5, 6)), requires_grad=True)
     recorded, gate = layer.forward(x)
     inferred, same = layer.forward(x, record=False)
     np.testing.assert_array_equal(same.selected, gate.selected)
-    np.testing.assert_allclose(inferred.data, recorded.data, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(inferred.data, recorded.data)
     assert inferred._parents == () and not inferred.requires_grad
     if num_experts == 8:
         assert len(np.unique(gate.selected)) < 8
@@ -418,13 +416,13 @@ def test_inference_forward_equals_the_recording_forward(num_experts, k):
 
 def test_inference_forward_with_dropout_equals_the_recording_forward():
     """An rng with record=False: each selection slot's masked copy of x gets
-    its own stacked in-product, so the value is the recording forward's
-    under the same masks, and not the undropped one."""
+    its own stacked in-product, so the value is the recording forward's,
+    bit for bit, under the same masks, and not the undropped one."""
     layer = make_layer(6, 5, num_experts=4, k=2, seed=94, dropout_rate=0.5)
     randomize_adapters(layer, 95)
     x = Tensor(Rng(96).normal((7, 6)))
     recorded, _ = layer.forward(x, rng=Rng(97))
     inferred, _ = layer.forward(x, rng=Rng(97), record=False)
     undropped, _ = layer.forward(x, record=False)
-    np.testing.assert_allclose(inferred.data, recorded.data, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(inferred.data, recorded.data)
     assert np.abs(inferred.data - undropped.data).max() > 1e-3

@@ -217,6 +217,31 @@ class TestTrain:
             a, b = (next((tmp_path / out).iterdir()) / name for out in ("a", "b"))
             assert a.read_bytes() == b.read_bytes(), name
 
+    def test_jsonl_lines_evaluated_once_per_logged_row(self, tmp_path, monkeypatch):
+        # a JSONL file is both splits: each row evaluates it once and logs
+        # that accuracy for both
+        import mole.cli
+
+        calls = []
+        evaluate = mole.cli.evaluate
+
+        def counted(model, examples):
+            calls.append(len(examples))
+            return evaluate(model, examples)
+
+        monkeypatch.setattr(mole.cli, "evaluate", counted)
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps({"prompt": f"{c}x=", "label": c}) + "\n"
+                                for c in "ab" * 3))
+        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2",
+                                   **{"metrics-every": "1"})) == 0
+        assert calls == [6, 6]
+        run_dir = next((tmp_path / "runs").iterdir())
+        rows = list(csv.DictReader((run_dir / "metrics.csv").open()))
+        assert all(row["train_accuracy"] == row["eval_accuracy"] for row in rows)
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["eval_accuracy"] == summary["train_accuracy"]
+
     def test_empty_jsonl_prompt_rejected_before_the_run(self, tmp_path, capsys):
         data = tmp_path / "empty_prompt.jsonl"
         data.write_text('{"prompt": "", "label": "a"}\n{"prompt": "ab=", "label": "b"}\n')
@@ -348,6 +373,18 @@ class TestAnalyze:
         assert all(entry["tokens"] > 0 and entry["tokens"] % 16 == 0
                    for entry in report["router_stats"])
 
+
+    def test_jsonl_lines_counted_once(self, tmp_path, capsys):
+        # six 16-token prompts: every router sees 96 tokens, not two copies
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps({"prompt": "x" * 14 + f"{c}=", "label": c}) + "\n"
+                                for c in "ab" * 3))
+        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="0")) == 0
+        ckpt = next((tmp_path / "runs").iterdir()) / "model.ckpt"
+        capsys.readouterr()
+        assert run_cli("analyze", "--checkpoint", str(ckpt), "--dataset", f"jsonl:{data}") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert {entry["tokens"] for entry in report["router_stats"]} == {6 * 16}
 
 class TestHeapPolicy:
     def test_main_runs_without_mallopt(self, monkeypatch, capsys):
