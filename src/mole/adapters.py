@@ -22,6 +22,10 @@ softmax, and the stacked op. The balance loss is one more node per forward,
 over all routers at once. An expert that no token selected gets exact-zero
 factor gradients. Dropout is one mask draw per matrix, one mask per (token,
 selection slot), so two identical experts still see different masks.
+
+One reduction, :meth:`GateBatch.tally`, counts a gate's selections for the
+balance loss and for :func:`~mole.analysis.router_stats`. A router does not
+know its layer or matrix; the model's forward hook names them on a failure.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, Rng, Tensor, _make, dropout_mask, matmul, softmax
+from .tensor import Rng, Tensor, _make, dropout_mask, matmul, softmax
 
 ADAPTED_TAGS = ("q", "k", "v", "o", "gate", "down", "up")
 
@@ -52,6 +56,12 @@ class GateBatch:
     selected: np.ndarray
     weights: np.ndarray
     probs: Tensor
+
+    def tally(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each expert's selection count and summed renormalised weight (f64)."""
+        picks, n = self.selected.reshape(-1), self.probs.shape[1]
+        return (np.bincount(picks, minlength=n),
+                np.bincount(picks, weights=self.weights.reshape(-1), minlength=n))
 
     def outcome(self, token: int) -> "RoutingOutcome":
         return RoutingOutcome(selected=tuple(int(i) for i in self.selected[token]),
@@ -143,15 +153,13 @@ class Router:
     of the logits.
     """
 
-    def __init__(self, in_dim: int, num_experts: int, k: int, *, layer_index: int = 0,
-                 tag: str = "q", rng: Rng | None = None, dtype=np.float64):
+    def __init__(self, in_dim: int, num_experts: int, k: int, *, rng: Rng | None = None,
+                 dtype=np.float64):
         if k < 1 or k > num_experts:
             raise ValueError(f"top-K must satisfy 1 <= K <= {num_experts}, got K={k}")
         self.in_dim = in_dim
         self.num_experts = num_experts
         self.k = k
-        self.layer_index = layer_index
-        self.tag = tag
         init = rng.normal((in_dim, num_experts), std=ROUTER_INIT_STD, dtype=dtype) \
             if rng is not None else np.zeros((in_dim, num_experts), dtype=dtype)
         self.weight = Tensor(init, requires_grad=True)
@@ -165,11 +173,7 @@ class Router:
         false the logits use the weight's data, so nothing is recorded.
         """
         logits = matmul(x, self.weight if record else self.weight.data)  # (tokens, N)
-        try:
-            probs = softmax(logits, axis=-1)
-        except NonFiniteError as err:
-            raise NonFiniteError(
-                f"router (layer {self.layer_index}, {self.tag}): {err}") from err
+        probs = softmax(logits, axis=-1)
         # Stable argsort on -p: ties resolve to the lower expert index.
         order = np.argsort(-probs.data, axis=-1, kind="stable")
         selected = np.sort(order[:, : self.k], axis=-1)
@@ -216,7 +220,7 @@ def balance_loss_tensor(gates: list[GateBatch]) -> Tensor:
     total, coefs = 0.0, []
     for gate in gates:
         tokens, num_experts = gate.probs.shape
-        counts = np.bincount(gate.selected.reshape(-1), minlength=num_experts)
+        counts, _ = gate.tally()
         dispatch_frac = counts.astype(gate.probs.dtype) / gate.selected.size
         total += (gate.probs.data.mean(axis=0) * dispatch_frac).sum() * float(num_experts)
         coefs.append(dispatch_frac * (num_experts * share / tokens))

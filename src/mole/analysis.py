@@ -194,7 +194,8 @@ class RouterUsage:
 
 def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
     """Stream a dataset through the model in eval mode and aggregate, per
-    router, how often each expert is selected and its mean fusion weight.
+    router in model order, how often each expert is selected and its mean
+    fusion weight, from each gate's :meth:`~mole.adapters.GateBatch.tally`.
 
     One pass of the block trunk per prompt length over every row, recording
     no graph (`record=False`) and skipping the final norm and head, whose
@@ -202,26 +203,19 @@ def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
     examples = list(examples)
     if not examples:
         raise ValueError("router_stats needs a non-empty dataset")
-    usage: dict[tuple[int, str], RouterUsage] = {}
-    for j in range(model.config.num_layers):
-        n = model.config.allocation.counts[j]
-        for tag in ADAPTED_TAGS:
-            usage[(j, tag)] = RouterUsage(layer=j, tag=tag, tokens=0,
-                                          selection_counts=[0] * n,
-                                          weight_sums=[0.0] * n)
+    usage = {(j, tag): RouterUsage(layer=j, tag=tag, tokens=0,
+                                   selection_counts=[0] * layer.router.num_experts,
+                                   weight_sums=[0.0] * layer.router.num_experts)
+             for j, block in enumerate(model.blocks) for tag, layer in block.adapted.items()}
     for _, ids in length_batches(examples):
         _, gates = model.trunk(ids, record=False)
-        for (j, tag), gate in gates.items():
-            entry = usage[(j, tag)]
-            tokens, n = gate.probs.shape
-            entry.tokens += tokens
-            counts = np.bincount(gate.selected.reshape(-1), minlength=n)
-            sums = np.zeros(n)
-            np.add.at(sums, gate.selected.reshape(-1), gate.weights.reshape(-1))
-            for i in range(n):
-                entry.selection_counts[i] += int(counts[i])
-                entry.weight_sums[i] += float(sums[i])
-    return [usage[key] for key in sorted(usage, key=lambda k: (k[0], ADAPTED_TAGS.index(k[1])))]
+        for key, gate in gates.items():
+            entry = usage[key]
+            counts, sums = gate.tally()
+            entry.tokens += len(gate.selected)
+            entry.selection_counts = [c + int(n) for c, n in zip(entry.selection_counts, counts)]
+            entry.weight_sums = [s + float(w) for s, w in zip(entry.weight_sums, sums)]
+    return list(usage.values())
 
 
 # -- report emission -----------------------------------------------------------

@@ -135,17 +135,26 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
             raise VersionMismatchError(
                 f"checkpoint format version {version}, expected {FORMAT_VERSION}")
         header_len = struct.unpack("<Q", _read_exact(fh, 8, "header length"))[0]
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if header_len > left:
+            raise CorruptHeaderError(f"header length {header_len} exceeds the {left} bytes left")
         try:
-            header = json.loads(_read_exact(fh, header_len, "header"))
+            header = json.loads(fh.read(header_len))
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise CorruptHeaderError(f"unreadable header: {err}") from err
         try:
-            entries = header["params"]
+            entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
             stored_config = header["config"]
             step = header["step"]
             base_sha256 = header["base_sha256"]
         except KeyError as err:
             raise CorruptHeaderError(f"header missing field {err.args[0]!r}") from err
+        except TypeError as err:   # the header, or a parameter entry, is not an object
+            raise CorruptHeaderError(f"malformed header: {err}") from err
+        if type(step) is not int or step < 0:
+            raise CorruptHeaderError(f"step must be a non-negative integer, got {step!r}")
+        if not all(isinstance(name, str) for name, _ in entries):
+            raise CorruptHeaderError("parameter names must be strings")
         if config is None:
             try:
                 config = ToyTransformerConfig.from_dict(stored_config)
@@ -153,20 +162,19 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
                 raise CorruptHeaderError(f"invalid stored config: {err}") from err
         model = AdaptedModel(config, draw_adapters=False)
         params = model.trainable_parameters()
-        if [e["name"] for e in entries] != list(params.keys()):
-            stored = {e["name"] for e in entries}
+        if [name for name, _ in entries] != list(params.keys()):
+            stored = {name for name, _ in entries}
             missing = (sorted(set(params) - stored) + sorted(stored - set(params))
                        or ["the parameter order"])
             raise ShapeMismatchError(
                 f"parameter set disagrees with config (first difference: {missing[0]})")
-        for entry in entries:
-            name, shape = entry["name"], tuple(entry["shape"])
+        for name, shape in entries:
             target = params[name]
             if shape != target.shape:
                 raise ShapeMismatchError(
                     f"parameter {name}: stored shape {shape}, model expects {target.shape}")
             blob = _read_exact(fh, target.data.size * 8, f"blob for {name}")
-            target.data[...] = np.frombuffer(blob, dtype="<f8").reshape(shape)
+            target.data[...] = np.frombuffer(blob, dtype="<f8").reshape(target.shape)
         trailing = fh.read(1)
         if trailing:
             raise CorruptHeaderError("trailing bytes after final parameter blob")

@@ -182,12 +182,8 @@ def _model_config(resolved: dict) -> ToyTransformerConfig:
 
 def _truncate(examples, cutoff: int):
     """Left-truncate overlong prompts so the answer position survives."""
-    out = []
-    for ex in examples:
-        if len(ex.prompt) > cutoff:
-            ex = Example(prompt=ex.prompt[-cutoff:], label=ex.label, choices=ex.choices)
-        out.append(ex)
-    return out
+    return [Example(prompt=ex.prompt[-cutoff:], label=ex.label, choices=ex.choices)
+            if len(ex.prompt) > cutoff else ex for ex in examples]
 
 
 def _load_dataset(resolved: dict) -> TaskData:
@@ -301,11 +297,7 @@ def cmd_train(args) -> int:
 
 
 def _continual_eval_pool(domain: TaskData, split: str):
-    if split == "train":
-        return domain.train
-    if split == "all":
-        return domain.all_examples
-    return domain.eval
+    return {"train": domain.train, "all": domain.all_examples}.get(split, domain.eval)
 
 
 def cmd_continual(args) -> int:

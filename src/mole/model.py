@@ -121,54 +121,38 @@ class Block:
                                   rng=rng.child("expert", tag, i) if draw_adapters else None,
                                   dtype=dtype)
                        for i in range(n)]
-            router = Router(in_dim, n, k, layer_index=layer_index, tag=tag,
-                            rng=rng.child("router", tag) if draw_adapters else None,
+            router = Router(in_dim, n, k, rng=rng.child("router", tag) if draw_adapters else None,
                             dtype=dtype)
             self.adapted[tag] = AdaptedLinear(w0, experts, router)
 
-    def _apply(self, tag: str, x: Tensor, rng: Rng | None, adapters_on: bool,
-               gates: dict, record: bool) -> Tensor:
-        layer = self.adapted[tag]
-        if not adapters_on:
-            return matmul(x, layer.frozen.transpose())
-        out, gate = layer.forward(x, rng=rng, record=record)
-        gates[(self.layer_index, tag)] = gate
-        return out
+    def forward(self, x: Tensor, mask: np.ndarray, apply,
+                last: np.ndarray | None = None) -> Tensor:
+        """The block on the residual rows x (batch * seq, d), returning rows.
 
-    def forward(self, x: Tensor, mask: np.ndarray, rng: Rng | None, adapters_on: bool,
-                gates: dict, record: bool, last_row: bool) -> Tensor:
-        """The block on x (batch, seq, d). With `last_row` only each sequence's
-        last position goes on from its query, so the result is (batch, 1, d);
-        k and v still see every position.
-
-        Inside, the residual stream is one (rows, d) matrix, so the block
-        records one reshape on each side. Attention and the MLP are helpers,
-        so a forward that records nothing frees their intermediates as soon
-        as each returns."""
-        def apply(tag: str, t: Tensor) -> Tensor:
-            return self._apply(tag, t, rng, adapters_on, gates, record)
-
-        batch, seq, d = x.shape
-        x = x.reshape(batch * seq, d)
-        last = np.arange(seq - 1, batch * seq, seq) if last_row else None
+        `mask` is the (seq, seq) causal mask, and `apply(block, tag, rows)`
+        runs one of the block's adapted matrices (:meth:`AdaptedModel.trunk`).
+        With `last`, the rows of each sequence's last position, only those
+        rows go on from the query, so the result is (batch, d); k and v still
+        see every row. Attention and the MLP are helpers, so a forward that
+        records nothing frees their intermediates as soon as each returns."""
         residual = x if last is None else take_rows(x, last)
-        x = residual + apply("o", self._attention(x, mask, batch, last, apply))
-        x = x + self._mlp(x, apply)
-        return x.reshape(batch, -1, d)
+        x = residual + apply(self, "o", self._attention(x, mask, last, apply))
+        return x + self._mlp(x, apply)
 
-    def _attention(self, x: Tensor, mask: np.ndarray, batch: int, last: np.ndarray | None,
+    def _attention(self, x: Tensor, mask: np.ndarray, last: np.ndarray | None,
                    apply) -> Tensor:
         """The o-projection's input: causal multi-head attention over the
         rows of x (batch * seq, d), queried from every row or from `last`."""
-        seq, d = x.shape[0] // batch, x.shape[1]
+        seq, d = mask.shape[0], x.shape[1]
+        batch = x.shape[0] // seq
         u = layer_norm(x, self.ln1_gain, self.ln1_bias, LN_EPS)
         queries, rows = (u, seq) if last is None else (take_rows(u, last), 1)
 
         def heads(t: Tensor, n: int) -> Tensor:
             return t.reshape(batch, n, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-        qh = heads(apply("q", queries), rows)
-        kh, vh = heads(apply("k", u), seq), heads(apply("v", u), seq)
+        qh = heads(apply(self, "q", queries), rows)
+        kh, vh = heads(apply(self, "k", u), seq), heads(apply(self, "v", u), seq)
         scores = matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
         try:
             attn = softmax(scores + Tensor(mask[seq - rows:]), axis=-1)
@@ -179,7 +163,7 @@ class Block:
     def _mlp(self, x: Tensor, apply) -> Tensor:
         """The gated silu unit on the normalised rows of x."""
         u = layer_norm(x, self.ln2_gain, self.ln2_bias, LN_EPS)
-        return apply("down", silu(apply("gate", u)) * apply("up", u))
+        return apply(self, "down", silu(apply(self, "gate", u)) * apply(self, "up", u))
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
         params = {
@@ -254,17 +238,33 @@ class AdaptedModel:
               record: bool = True, last_row: bool = False
               ) -> tuple[Tensor, dict[tuple[int, str], GateBatch]]:
         """The embeddings and every block, without the final norm and head:
-        the (batch, rows, d) residual stream and each adapted matrix's gate,
-        keyed by (layer, tag). The switches are :meth:`forward`'s; a flat
-        sequence counts as a batch of one."""
+        the residual rows (batch * rows, d), rows being the sequence length
+        or, with `last_row`, 1, and each adapted matrix's gate, keyed by
+        (layer, tag). The switches are :meth:`forward`'s; they reach the
+        blocks through one hook, `apply(block, tag, rows)`, which runs that
+        adapted matrix (its frozen product alone with the adapters off),
+        keeps its gate, and names the layer and tag of a router whose softmax
+        meets a non-finite logit."""
         ids = self._check_tokens(token_ids)
-        seq = ids.shape[1]
-        x = take_rows(self.tok_emb, ids) + take_rows(self.pos_emb, np.arange(seq))
+        batch, seq = ids.shape
+        x = take_rows(self.tok_emb, ids.reshape(-1)) \
+            + take_rows(self.pos_emb, np.tile(np.arange(seq), batch))
         mask = np.triu(np.full((seq, seq), _NEG_INF, dtype=self.config.dtype), k=1)
         gates: dict[tuple[int, str], GateBatch] = {}
-        top = len(self.blocks) - 1
-        for j, block in enumerate(self.blocks):
-            x = block.forward(x, mask, rng, adapters_on, gates, record, last_row and j == top)
+
+        def apply(block: Block, tag: str, rows: Tensor) -> Tensor:
+            layer = block.adapted[tag]
+            if not adapters_on:
+                return matmul(rows, layer.frozen.transpose())
+            try:
+                out, gates[(block.layer_index, tag)] = layer.forward(rows, rng, record)
+            except NonFiniteError as err:
+                raise NonFiniteError(f"router (layer {block.layer_index}, {tag}): {err}") from err
+            return out
+
+        last = np.arange(seq - 1, batch * seq, seq) if last_row else None
+        for block in self.blocks:
+            x = block.forward(x, mask, apply, last if block is self.blocks[-1] else None)
         return x, gates
 
     def forward(self, token_ids, rng: Rng | None = None, adapters_on: bool = True,
@@ -273,34 +273,29 @@ class AdaptedModel:
 
         An `rng` turns dropout on, and the forward consumes it: the adapted
         matrices draw their dropout masks from it in a fixed order. Without
-        one the forward is deterministic. Logits keep the input's batch shape:
-        (seq, vocab) for a flat sequence, (batch, seq, vocab) for a batch.
+        one the forward is deterministic. The rows :meth:`trunk` returns go
+        through the final norm and the head; only the logits take the input's
+        shape: (seq, vocab) for a flat sequence, else (batch, seq, vocab).
 
-        Two switches go down to every block. Each adapted matrix runs one
-        stacked expert product (:func:`~mole.adapters.stacked_lora`) either
-        way. With `record` false (inference) no autodiff graph is recorded:
-        only router weights and expert factors require grad, and the routers
-        and stacked products then read their data, so each op's
-        intermediates are freed as the forward moves on and the logits equal
-        the recording forward's bit for bit. Nothing reads a balance loss
-        there, so none is built: `aux_loss` is the zero scalar, as with the
-        adapters off.
-        With `last_row` (inference and :func:`train_step`) the last block
+        With `record` false (inference) no autodiff graph is recorded: only
+        router weights and expert factors require grad, and the routers and
+        stacked expert products (:func:`~mole.adapters.stacked_lora`) then
+        read their data, so each op's intermediates are freed as the forward
+        moves on and the logits equal the recording forward's bit for bit.
+        No balance loss is built there: `aux_loss` is the zero scalar, as
+        with the adapters off. With `last_row` (inference and :func:`train_step`) the last block
         runs its q, o and MLP, and the final norm and head run, on each
         sequence's last position only, so the seq axis of the logits has
         length 1 and that block's five query-side routers gate only those
         rows; k and v still see every position.
         """
         x, gates = self.trunk(token_ids, rng, adapters_on, record, last_row)
-        batch, rows, d = x.shape
         x = layer_norm(x, self.final_gain, self.final_bias, LN_EPS)
-        flat = x.reshape(batch * rows, d)
-        logits = matmul(flat, self.head.transpose()).reshape(batch, rows, self.config.vocab_size)
+        logits = matmul(x, self.head.transpose()).reshape(
+            *np.shape(token_ids)[:-1], -1, self.config.vocab_size)
         # the mean over routers: scale-stable across allocations
         aux = balance_loss_tensor(list(gates.values())) if adapters_on and record \
             else Tensor(np.zeros((), dtype=self.config.dtype))
-        if np.ndim(token_ids) == 1:
-            logits = logits.reshape(rows, self.config.vocab_size)
         return ForwardResult(logits=logits, aux_loss=aux, gates=gates)
 
     def base_forward(self, token_ids) -> Tensor:
@@ -453,10 +448,6 @@ def evaluate(model: AdaptedModel, examples) -> float:
     for group, ids in length_batches(examples):
         logits = model.forward(ids, record=False, last_row=True).logits.data[:, -1, :]
         for row, ex in zip(logits, group):
-            if ex.choices:
-                choice_ids = np.array(ex.choices, dtype=np.intp)
-                predicted = int(choice_ids[np.argmax(row[choice_ids])])
-            else:
-                predicted = int(np.argmax(row))
-            correct += int(predicted == ex.label)
+            candidates = np.array(ex.choices or range(len(row)), dtype=np.intp)
+            correct += int(candidates[np.argmax(row[candidates])] == ex.label)
     return correct / len(examples)

@@ -81,19 +81,20 @@ def _text_example(prompt: str, label: str, choices: str) -> Example:
     return Example(prompt=encode(prompt), label=ord(label), choices=encode(choices))
 
 
-def _gen_copy(size: int, rng: Rng) -> list[Example]:
-    # Echo the first symbol of a random string: "qwerty=" -> "q".
+def _echo_first(draw: Rng, alphabet: str, length: int, size: int) -> list[Example]:
+    # `size` distinct random strings, each labeled by its first symbol: "qwerty=" -> "q"
     seen = set()
     out = []
-    draw = rng.child("strings")
     while len(out) < size:
-        symbols = draw.integers(0, len(COPY_ALPHABET), size=COPY_LENGTH)
-        text = "".join(COPY_ALPHABET[i] for i in symbols)
-        if text in seen:
-            continue
-        seen.add(text)
-        out.append(_text_example(text + "=", text[0], COPY_ALPHABET))
+        text = "".join(alphabet[i] for i in draw.integers(0, len(alphabet), size=length))
+        if text not in seen:
+            seen.add(text)
+            out.append(_text_example(text + "=", text[0], alphabet))
     return out
+
+
+def _gen_copy(size: int, rng: Rng) -> list[Example]:
+    return _echo_first(rng.child("strings"), COPY_ALPHABET, COPY_LENGTH, size)
 
 
 def _gen_modular_add(size: int, rng: Rng) -> list[Example]:
@@ -172,17 +173,8 @@ def generate_domain(index: int, size: int, seed: int, name: str | None = None) -
     generalizes, so held-out accuracy tracks retained skill rather than
     memorization.
     """
-    alphabet = domain_alphabet(index)
-    rng = Rng(seed).child("domain", index)
-    seen = set()
-    examples = []
-    while len(examples) < size:
-        symbols = rng.integers(0, DOMAIN_ALPHABET_SIZE, size=DOMAIN_PROMPT_LENGTH)
-        text = "".join(alphabet[i] for i in symbols)
-        if text in seen:
-            continue
-        seen.add(text)
-        examples.append(_text_example(text + "=", text[0], alphabet))
+    examples = _echo_first(Rng(seed).child("domain", index), domain_alphabet(index),
+                           DOMAIN_PROMPT_LENGTH, size)
     return _split(examples, name or f"domain{index}")
 
 
@@ -214,12 +206,16 @@ def load_jsonl(path) -> list[Example]:
                 label = record["label"]
             except KeyError as err:
                 raise ValueError(f"line {lineno}: missing field {err.args[0]!r}") from err
+            if not isinstance(prompt, str):
+                raise ValueError(f"line {lineno}: prompt must be a string")
             if not isinstance(label, str) or len(label) != 1:
                 raise ValueError(f"line {lineno}: label must be a single character")
             choices = record.get("choices")
             if choices is not None:
-                if not all(isinstance(c, str) and len(c) == 1 for c in choices):
-                    raise ValueError(f"line {lineno}: choices must be single characters")
+                if not isinstance(choices, (list, str)) or not all(
+                        isinstance(c, str) and len(c) == 1 for c in choices):
+                    raise ValueError(f"line {lineno}: choices must be a list or string "
+                                     "of single characters")
                 choices = encode("".join(choices))
             try:
                 examples.append(Example(prompt=encode(prompt), label=ord(label),

@@ -12,6 +12,10 @@ stacked expert products and top-K renormalisation: three nodes with its
 router's logits and softmax) and the balance loss over all routers (one node
 per forward).
 
+The model's residual stream is one (rows, d) matrix from the embeddings to
+the head, so one row gather, :func:`take_rows`, serves the embedding lookups,
+the answer rows and any loss that picks rows of flattened logits.
+
 No global state anywhere: randomness comes from an explicit, splittable
 counter-based generator (:class:`Rng`) owned by the caller, and there is no
 grad mode. An op records its parents and backward only when some parent
@@ -155,9 +159,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape if len(shape) != 1 or isinstance(shape[0], int) else shape[0])
 
@@ -261,10 +262,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     Batched stacks broadcast per numpy rules; gradients are summed back over
     broadcast axes.
     """
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = _wrap(b, a.dtype)
+    b = _wrap(b, a.dtype)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul requires 2-d operands, got shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -327,21 +325,6 @@ def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
             table._accumulate(full)
 
     return _make(out_data, (table,), backward)
-
-
-def rows_at(a: Tensor, positions: np.ndarray) -> Tensor:
-    """Select one row per batch element: out[b] = a[b, positions[b]]."""
-    positions = np.asarray(positions)
-    batch = np.arange(a.shape[0])
-    out_data = a.data[batch, positions]
-
-    def backward(grad):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, (batch, positions), grad)
-            a._accumulate(full)
-
-    return _make(out_data, (a,), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -448,9 +431,6 @@ class Rng:
 
     def normal(self, shape, std: float = 1.0, dtype=np.float64) -> np.ndarray:
         return (self._gen.standard_normal(size=shape) * std).astype(dtype)
-
-    def random(self, shape) -> np.ndarray:
-        return self._gen.random(size=shape)
 
     def geometric(self, p: float, size) -> np.ndarray:
         """Trials up to and including the first success, success rate `p`."""

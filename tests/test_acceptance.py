@@ -34,7 +34,7 @@ from mole.checkpoint import (
 )
 from mole.cli import main as cli_main
 from mole.model import AdaptedModel, ToyTransformerConfig
-from mole.tensor import Rng, cross_entropy, grad_check, rows_at
+from mole.tensor import Rng, cross_entropy, grad_check, take_rows
 from test_adapters import brute_force_top_k, make_router, softmax_np
 from test_analysis import set_expert
 
@@ -109,7 +109,7 @@ def test_gradient_oracle_small_model():
 
     def loss():
         result = model.forward(ids, rng=Rng(25).child("drop"))
-        ce = cross_entropy(rows_at(result.logits, np.array([3])), labels)
+        ce = cross_entropy(take_rows(result.logits.reshape(-1, 16), np.array([3])), labels)
         return ce + result.aux_loss * config.lambda_aux
 
     result = grad_check(loss, model.named_parameters(), step=1e-5, tolerance=1e-5)

@@ -251,11 +251,30 @@ class TestAdaptedLinear:
         with pytest.raises(ValueError, match="must share"):
             AdaptedLinear(np.eye(4), experts, Router(4, 2, 1))
 
+    @pytest.mark.parametrize("frozen, expert_outs, router_dims, match", [
+        (np.ones(4), [4, 4], (4, 2), "2-d"),
+        (np.eye(4), [5], (4, 1), "expert dims"),
+        (np.eye(4), [4, 4], (4, 3), "router expects 3 experts"),
+        (np.eye(4), [4, 4], (5, 2), "router input dim 5"),
+    ], ids=["frozen-1d", "expert-dims", "router-experts", "router-in-dim"])
+    def test_constructor_checks(self, frozen, expert_outs, router_dims, match):
+        experts = [LoraExpert(4, out, 2) for out in expert_outs]
+        with pytest.raises(ValueError, match=match):
+            AdaptedLinear(frozen, experts, Router(*router_dims, 1))
+
     def test_dropout_off_at_eval_keeps_identity_exact(self):
         layer = make_layer(4, 4, num_experts=2, k=2, seed=51, dropout_rate=0.5)
         x = Rng(52).normal((4,))
         out, _ = adapted_forward(layer, x)
         np.testing.assert_allclose(out, layer.frozen.data @ x, rtol=1e-12)
+
+
+def test_gate_tally_counts_and_weight_sums():
+    gate = GateBatch(np.array([[0, 2], [1, 2]]), np.array([[0.25, 0.75], [0.5, 0.5]]),
+                     Tensor(np.full((2, 4), 0.25)))
+    counts, sums = gate.tally()
+    np.testing.assert_array_equal(counts, [1, 1, 2, 0])
+    np.testing.assert_array_equal(sums, [0.25, 0.5, 1.25, 0.0])
 
 
 class TestLoadBalanceLoss:

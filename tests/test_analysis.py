@@ -327,6 +327,6 @@ class TestEmitReport:
 @settings(max_examples=30, deadline=None)
 def test_drop_zero_when_all_rows_equal(seed):
     rng = Rng(seed)
-    row = rng.random((4,)).tolist()
+    row = (rng.integers(0, 1001, size=4) / 1000).tolist()
     matrix = AccuracyMatrix.from_rows([row] * 4)
     assert performance_drop(matrix) == 0.0

@@ -253,6 +253,35 @@ class TestCorruption:
         with pytest.raises(ShapeMismatchError, match="order"):
             load(path)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: [h], "malformed header"),
+        (lambda h: dict(h, params=[5] + h["params"]), "malformed header"),
+        (lambda h: dict(h, params=[{"name": "x"}]), "missing field 'shape'"),
+        (lambda h: dict(h, params=7), "malformed header"),
+        (lambda h: dict(h, params=[{"name": 3, "shape": [2]}]), "names must be strings"),
+        (lambda h: dict(h, step="x"), "step must be a non-negative integer"),
+        (lambda h: {k: v for k, v in h.items() if k != "base_sha256"},
+         "missing field 'base_sha256'"),
+        (lambda h: dict(h, config=dict(h["config"], precision="f16")), "invalid stored config"),
+    ], ids=["list", "int-entry", "no-shape", "int-params", "int-name", "string-step",
+            "no-digest", "bad-config"])
+    def test_wrong_shaped_header(self, tmp_path, edit, match):
+        path = tmp_path / "model.ckpt"
+        save(AdaptedModel.build(small_config()), path)
+        header, _ = read_header(path)
+        rewrite_header(path, edit(header))
+        with pytest.raises(CorruptHeaderError, match=match):
+            load(path)
+
+    def test_header_length_checked_against_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save(AdaptedModel.build(small_config()), path)
+        raw = bytearray(path.read_bytes())
+        raw[len(MAGIC) + 4:len(MAGIC) + 12] = struct.pack("<Q", 1 << 62)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptHeaderError, match="bytes left"):
+            load(path)
+
     def test_missing_file_is_not_a_crash(self, tmp_path):
         with pytest.raises(OSError):
             load(tmp_path / "absent.ckpt")

@@ -45,6 +45,17 @@ class TestParams:
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli() == 1
 
+    def test_dims_file(self, tmp_path, capsys):
+        assert run_cli("params", "--dims", "toy-default", "--alloc", "counts=1,1,3,3") == 0
+        preset = capsys.readouterr().out
+        dims = tmp_path / "dims.cfg"
+        dims.write_text("num_layers = 4\nd-model = 64\nd_ffn = 172\nrank = 8\n")
+        assert run_cli("params", "--dims", str(dims), "--alloc", "counts=1,1,3,3") == 0
+        assert capsys.readouterr().out == preset
+        dims.write_text("num_layers = 4\nd_model = 64\nrank = 8\n")
+        assert run_cli("params", "--dims", str(dims), "--alloc", "counts=1,1,3,3") == 1
+        assert "missing key 'd_ffn'" in capsys.readouterr().err
+
 
 def train_args(tmp_path, **over):
     args = {"dataset": "modular_add", "data_size": "49", "alloc": "counts=2,2,2,2",
@@ -151,6 +162,42 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg),
                        "--out", str(tmp_path / "runs")) == 0
 
+    def test_config_file_comments_and_blank_lines(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a run\n\ndataset = modular_add  # the task\n   \n"
+                       "data_size = 49\nsteps = 0\nseed = 3\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "runs")) == 0
+        run_dir = next((tmp_path / "runs").iterdir())
+        resolved = json.loads((run_dir / "config.json").read_text())
+        assert (resolved["dataset"], resolved["data_size"], resolved["seed"]) == \
+            ("modular_add", 49, 3)
+
+    def test_unusable_config_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nsteps 5\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "runs")) == 1
+        assert "line 2: expected key = value" in capsys.readouterr().err
+        assert run_cli("train", "--config", str(tmp_path / "absent.cfg"),
+                       "--out", str(tmp_path / "runs")) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_unusable_dataset_rejected(self, tmp_path, capsys):
+        assert run_cli(*train_args(tmp_path, dataset="sorting")) == 1
+        assert "unknown dataset spec 'sorting'" in capsys.readouterr().err
+        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{tmp_path / 'absent.jsonl'}")) == 1
+        assert "cannot read dataset" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_out_mandatory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = train_args(tmp_path, steps="0")
+        i = argv.index("--out")
+        del argv[i:i + 2]
+        assert run_cli(*argv) == 1
+        assert "output directory is mandatory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         # a removed key (router_mode) must fail loudly, not be silently ignored
         for key, value in (("flux_capacitor", "1"), ("router_mode", "subset")):
@@ -249,6 +296,13 @@ class TestTrain:
         assert "line 1" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_non_string_jsonl_prompt_rejected_before_the_run(self, tmp_path, capsys):
+        data = tmp_path / "int_prompt.jsonl"
+        data.write_text('{"prompt": "ab=", "label": "b"}\n{"prompt": 5, "label": "a"}\n')
+        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2")) == 1
+        assert "line 2: prompt must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_final_accuracies_come_from_the_last_logged_row(self, tmp_path, monkeypatch):
         # the summary reuses the accuracies logged on the final weights; only a
         # run that logged no row evaluates again
@@ -323,6 +377,25 @@ class TestAnalyze:
 
     def test_needs_some_input(self, capsys):
         assert run_cli("analyze") == 1
+
+    def test_missing_matrix_clean_error(self, tmp_path, capsys):
+        assert run_cli("analyze", "--matrix", str(tmp_path / "no.csv")) == 1
+        assert "matrix file not found" in capsys.readouterr().err
+
+    def test_csv_needs_an_output_file(self, init_ckpt, capsys):
+        capsys.readouterr()
+        assert run_cli("analyze", "--checkpoint", str(init_ckpt), "--format", "csv") == 1
+        captured = capsys.readouterr()
+        assert "csv output needs --out" in captured.err and captured.out == ""
+
+    def test_header_of_the_wrong_shape_is_runtime_failure(self, init_ckpt, capsys):
+        # valid JSON that is not a header object: a CorruptHeaderError, no traceback
+        raw = init_ckpt.read_bytes()
+        text = b"[5]"
+        init_ckpt.write_bytes(raw[:12] + len(text).to_bytes(8, "little") + text)
+        capsys.readouterr()
+        assert run_cli("analyze", "--checkpoint", str(init_ckpt)) == 2
+        assert "malformed header" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_is_runtime_failure(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.ckpt"
@@ -431,6 +504,28 @@ class TestContinual:
                        "--" + key.replace("_", "-"), value) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    def test_diverged_stage_keeps_the_finished_stages(self, tmp_path, monkeypatch, capsys):
+        # the second domain diverges: exit 2, and matrix.csv keeps the first stage's row
+        import mole.cli
+        from mole.model import TrainingDiverged
+
+        step = mole.cli.train_step
+
+        def diverge_in_stage_two(model, *args, **kwargs):
+            if model.step == 5:
+                raise TrainingDiverged("injected divergence")
+            return step(model, *args, **kwargs)
+
+        monkeypatch.setattr(mole.cli, "train_step", diverge_in_stage_two)
+        assert run_cli("continual", "--domains", "2", "--domain-size", "40", "--steps", "4",
+                       "--seed", "1", "--out", str(tmp_path / "c")) == 2
+        assert "continual run halted in domain1: " in capsys.readouterr().err
+        run_dir = next((tmp_path / "c").iterdir())
+        matrix = AccuracyMatrix.from_csv(run_dir / "matrix.csv")
+        assert np.isfinite(matrix.values[0, 0])
+        assert not np.isfinite(matrix.values[1]).any()
+        assert not (run_dir / "report.json").exists()
 
     def test_small_sequence_emits_matrix_and_metrics(self, tmp_path, capsys):
         code = run_cli("continual", "--domains", "2", "--domain-size", "40",

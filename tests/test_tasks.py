@@ -139,6 +139,23 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2.*prompt"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("line, match", [
+        ('{"prompt": 5, "label": "a"}', "prompt must be a string"),
+        ('{"prompt": ["a", "b"], "label": "a"}', "prompt must be a string"),
+        ('{"prompt": "ab=", "label": "a", "choices": 5}', "choices must be a list or string"),
+        ('{"prompt": "ab=", "label": "a", "choices": {"a": 1}}', "choices must be a list"),
+    ], ids=["int-prompt", "list-prompt", "int-choices", "object-choices"])
+    def test_wrong_field_types_name_line_number(self, tmp_path, line, match):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"prompt": "ab=", "label": "a"}\n' + line + "\n")
+        with pytest.raises(ValueError, match="line 2: " + match):
+            load_jsonl(path)
+
+    def test_choices_may_be_a_string(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"prompt": "ab=", "label": "a", "choices": "ab"}\n')
+        assert load_jsonl(path)[0].choices == encode("ab")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

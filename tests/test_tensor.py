@@ -17,7 +17,6 @@ from mole.tensor import (
     grad_check,
     layer_norm,
     matmul,
-    rows_at,
     silu,
     softmax,
     take_rows,
@@ -140,14 +139,6 @@ class TestStructuralOps:
         expected[1] = 2.0
         expected[3] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
-
-    def test_rows_at(self):
-        x = tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4), requires_grad=True)
-        out = rows_at(x, np.array([2, 0]))
-        np.testing.assert_array_equal(out.data, [x.data[0, 2], x.data[1, 0]])
-        out.sum().backward()
-        assert x.grad[0, 2].sum() == 4.0 and x.grad[1, 0].sum() == 4.0
-        assert x.grad.sum() == 8.0
 
     def test_composite_layer_norm_grad(self):
         # the model's layer norm, one op: values against numpy, then every
