@@ -9,19 +9,18 @@ softmax weights. A switch-style load-balancing loss keeps expert workloads
 equitable.
 
 An adapted matrix runs as one stacked expert product (:func:`stacked_lora`):
-the product of x with all N experts' in-factors stacked, a dense gate that
-zeroes the experts a token did not select, one product with the out-factors
-stacked, and the frozen product. Its work grows with N * rank, not with K,
-and the number of its matrix products does not grow with N (only the
-backward's hand-off of each expert's gradient slices does). Training,
-gradient checks and inference run this one formula; a recorded forward makes
-it one graph node whose hand-written backward is the same products
-transposed and also differentiates the top-K renormalisation. So an adapted
-matrix records three graph nodes whatever N is: its router's logits, their
-softmax, and the stacked op. The balance loss is one more node per forward,
-over all routers at once. An expert that no token selected gets exact-zero
-factor gradients. Dropout is one mask draw per matrix, one mask per (token,
-selection slot), so two identical experts still see different masks.
+the product of x with all N experts' in-factors stacked, a gate that zeroes
+the experts a token did not select, one product with the out-factors
+stacked, and the frozen product: N * rank * (in + out) per token, whatever
+K. Dropout masks each (token, selection slot) on its own, so two identical
+experts still see different masks; a token's K slots are then K rows of the
+in-product, K * N * rank * in per token. Training, gradient checks and
+inference run this one formula; a recorded forward makes it one graph node
+whose hand-written backward is the same products transposed and also
+differentiates the top-K renormalisation. So an adapted matrix records three
+graph nodes whatever N is: its router's logits, their softmax, and the
+stacked op. The balance loss is one more node per forward, over all routers
+at once. An expert that no token selected gets exact-zero factor gradients.
 
 One reduction, :meth:`GateBatch.tally`, counts a gate's selections for the
 balance loss and for :func:`~mole.analysis.router_stats`. A router does not
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Rng, Tensor, _make, dropout_mask, matmul, softmax
+from .tensor import Rng, Tensor, _make, dropout_positions, matmul, softmax
 
 ADAPTED_TAGS = ("q", "k", "v", "o", "gate", "down", "up")
 
@@ -235,98 +234,100 @@ def balance_loss_tensor(gates: list[GateBatch]) -> Tensor:
 
 
 def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[LoraExpert],
-                 keep: np.ndarray | None, scale: float, record: bool = True) -> Tensor:
+                 dropped: np.ndarray | None, rate: float, scale: float,
+                 record: bool = True) -> Tensor:
     """One adapted matrix: x @ frozen.T plus each token's selected expert
     updates, weighted by the gate's renormalised weights times `scale`, as
     one stacked expert product.
 
     x @ [A_1; ...; A_N].T gives every expert's (tokens, rank) block at once,
-    with A the in-factors; each block is scaled by a dense (tokens, N) gate
-    that holds weights * scale at the token's selected experts and 0
-    elsewhere, and one product with the out-factors [B_1, ..., B_N] sums the
-    updates onto x @ frozen.T. The work is N * rank * (in_dim + out_dim) per
-    token, whatever K. `keep` is the (tokens, K, in_dim) dropout mask, or
-    None: with it, each selection slot's masked copy of x gets its own
-    in-product, gated at that slot's expert only.
+    with A the in-factors; a gate keeps each token's blocks at its selected
+    experts, times weights * scale, and one product with the out-factors
+    [B_1, ..., B_N] sums them onto x @ frozen.T: N * rank * (in + out) per
+    token, whatever K. `dropped` holds the positions dropout zeroes, flat in
+    the (tokens, K, in_dim) layout (:func:`~mole.tensor.dropout_positions`),
+    or None. With it each selection slot sees its own masked x / (1 - rate):
+    the slots are K row blocks of one in-product (K * N * rank * in per
+    token), then one gather of each slot's block at its expert and one
+    scatter of them into the gated product.
 
     Without `record` the result is a plain tensor. With it the op is one
-    graph node whose parents are x, `gate.probs` and every expert's factors;
-    `frozen` and `weights` are plain arrays. The node keeps the gated
-    product, the dense gates, each slot's rank rows at its selected experts
-    and, for dropout, the mask's kept flags (one byte an entry) and its one
-    kept value. The backward is the stacked products transposed: with
-    h = grad @ [B_1, ..., B_N], the out-factors get grad.T @ gated, and per
-    slot dlow = h * gate gives the in-factors dlow.T @ masked(x) and x
-    masked(dlow @ [A_1; ...; A_N]), after grad @ frozen. So an expert no
-    token selected gets exact-zero gradients. The weights get
-    dw[t, s] = scale * <h, low> at slot s's expert, and the renormalisation
-    sends it to the selected probabilities: for a token with selected set S,
-    weights w and dw, dp_S = (dw - <dw, w>) / sum(p_S).
+    graph node whose parents are x, `gate.probs` and every expert's factors.
+    It keeps the stacked factors, each slot's block at its expert and the
+    dropped positions; the backward rebuilds the slot rows and the gated
+    product. It is the products transposed: with h = grad @ [B_1, ..., B_N],
+    the out-factors get grad.T @ gated; h at each row's selected experts
+    times weights * scale is dlow, which gives the in-factors dlow.T @ rows
+    and x grad @ frozen plus the masked dlow @ [A_1; ...; A_N] of every
+    slot. So an expert no token selected gets exact-zero gradients. The
+    weights get dw[t, s] = scale * <h, low> at slot s's expert, and the
+    renormalisation sends it to the selected probabilities: for a token with
+    selected set S, weights w and dw, dp_S = (dw - <dw, w>) / sum(p_S).
     """
     weights, probs, selected = gate.weights, gate.probs, gate.selected
     tokens, k = selected.shape
     n, rank = len(experts), experts[0].rank
     stacked_in = np.concatenate([e.in_factor.data for e in experts])            # (N r, in)
     stacked_out = np.concatenate([e.out_factor.data for e in experts], axis=1)  # (out, N r)
-    row = np.arange(tokens)[:, None]
-    saved = []      # per slot group: its dense gate and its rank rows at its experts
+    block = np.arange(tokens)[:, None] * n + selected  # each slot's expert, flat in (tokens, N)
+    scaled = weights * scale
+    slots = 1 if dropped is None else k         # row blocks of the in-product
+    at = block if dropped is None else block + np.arange(k) * (tokens * n)  # in (slots tokens N)
+    keep = x.dtype.type(1.0 / (1.0 - rate))
 
-    def slot_product(rows: np.ndarray, slots) -> np.ndarray:
+    def slot_rows(rows: np.ndarray) -> np.ndarray:
+        """(tokens slots, in) rows as (slots, tokens, in), masked in place."""
+        if dropped is not None:
+            rows *= keep
+            rows.reshape(-1)[dropped] = 0.0
+        return rows.reshape(tokens, slots, -1).transpose(1, 0, 2)
+
+    def scatter(blocks: np.ndarray, where: np.ndarray, size: int) -> np.ndarray:
+        spread = np.zeros((size, rank), dtype=x.dtype)
+        spread[where] = blocks * scaled[:, :, None]
+        return spread
+
+    if dropped is None:
         dense = np.zeros((tokens, n), dtype=x.dtype)
-        dense[row, selected[:, slots]] = weights[:, slots] * scale
-        low = (rows @ stacked_in.T).reshape(tokens, n, rank)
-        if record:
-            saved.append((slots, dense, low[row, selected[:, slots]]))
+        dense.reshape(-1)[block] = scaled
+        low = (x.data @ stacked_in.T).reshape(tokens, n, rank)
+        picked = low.reshape(-1, rank).take(block, axis=0) if record else None  # (tokens, K, r)
         low *= dense[:, :, None]
-        return low
-
-    if keep is None:
-        gated = slot_product(x.data, slice(None))
+        gated = low.reshape(tokens, n * rank)
     else:
-        gated = sum(slot_product(x.data * keep[:, s], [s]) for s in range(k))
-    gated = gated.reshape(tokens, n * rank)
+        low = slot_rows(np.repeat(x.data, k, axis=0)) @ stacked_in.T  # (K, tokens, N r)
+        picked = low.reshape(-1, rank).take(at, axis=0)
+        gated = scatter(picked, block, tokens * n).reshape(tokens, n * rank)
     out = gated @ stacked_out.T
     out += x.data @ frozen.T
     if not record:
         return Tensor(out)
-    # the graph holds no (tokens, K, in_dim) float array: see the docstring
-    flags, value = (None, None) if keep is None else (keep != 0, keep.max(initial=0.0))
-
-    def masked(t: np.ndarray, slots) -> np.ndarray:
-        """t * keep[:, slot], rounded alike: times the value, then the flags."""
-        if flags is None:
-            return t
-        t = t * value
-        t *= flags[:, slots[0]]
-        return t
 
     def backward(grad):
-        stacked_in = np.concatenate([e.in_factor.data for e in experts])
-        stacked_out = np.concatenate([e.out_factor.data for e in experts], axis=1)
-        h = grad @ stacked_out                               # (tokens, N r)
-        d_out = grad.T @ gated
-        d_in = np.zeros_like(stacked_in)
-        dx = grad @ frozen if x.requires_grad else None
-        dw = np.empty(selected.shape, dtype=x.dtype)        # d loss / d weights
-        h3 = h.reshape(tokens, n, rank)
-        for slots, dense, rows_low in saved:
-            dw[:, slots] = np.einsum("tsr,tsr->ts", h3[row, selected[:, slots]], rows_low)
-            dlow = (h3 * dense[:, :, None]).reshape(tokens, n * rank)
-            d_in += dlow.T @ masked(x.data, slots)
-            if dx is not None:
-                dx += masked(dlow @ stacked_in, slots)
+        h = grad @ stacked_out
+        d_out = grad.T @ scatter(picked, block, tokens * n).reshape(tokens, n * rank)
+        h_picked = h.reshape(-1, rank).take(block, axis=0)
+        dw = np.einsum("tsr,tsr->ts", h_picked, picked)             # d loss / d weights
+        dlow = scatter(h_picked, at, slots * tokens * n).reshape(slots, tokens, n * rank)
+        d_in = (dlow.transpose(0, 2, 1) @ slot_rows(np.repeat(x.data, slots, axis=0))).sum(axis=0)
         for i, e in enumerate(experts):
             e.out_factor._accumulate(d_out[:, i * rank:(i + 1) * rank])
             e.in_factor._accumulate(d_in[i * rank:(i + 1) * rank])
-        if dx is not None:
+        if x.requires_grad:
+            dx = grad @ frozen
+            d_rows = np.empty((tokens * slots, x.shape[1]), dtype=x.dtype)
+            np.matmul(dlow, stacked_in, out=d_rows.reshape(tokens, slots, -1).transpose(1, 0, 2))
+            for d_slot in slot_rows(d_rows):
+                dx += d_slot
+            del d_rows, d_slot          # freed before x copies dx
             x._accumulate(dx)
         if probs.requires_grad:
             dw *= scale
             dw -= (dw * weights).sum(axis=-1, keepdims=True)
-            dw /= probs.data[row, selected].sum(axis=-1, keepdims=True)  # now d loss / d p_S
-            dprobs = np.zeros_like(probs.data)
-            dprobs[row, selected] = dw
-            probs._accumulate(dprobs)
+            dw /= probs.data.take(block).sum(axis=-1, keepdims=True)  # now d loss / d p_S
+            dprobs = np.zeros(probs.data.size, dtype=probs.dtype)
+            dprobs[block] = dw
+            probs._accumulate(dprobs.reshape(probs.shape))
 
     factors = [t for e in experts for t in (e.in_factor, e.out_factor)]
     return _make(out, (x, probs, *factors), backward)
@@ -345,8 +346,9 @@ class AdaptedLinear:
     (alpha / rank) * dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors
     and B the out-factors. The whole formula is one op,
     :func:`stacked_lora`: two stacked expert products whose work is
-    O(N * rank) per token. A recorded forward records three graph nodes
-    (router logits, softmax, stacked op) whatever the expert count.
+    O(N * rank) per token, O(K * N * rank) on the in-path under dropout. A
+    recorded forward records three graph nodes (router logits, softmax,
+    stacked op) whatever the expert count.
     """
 
     def __init__(self, frozen_weight: np.ndarray, experts: list[LoraExpert],
@@ -380,16 +382,18 @@ class AdaptedLinear:
         Returns the output and the :class:`GateBatch` so the caller can
         assemble balance losses and routing statistics. An `rng` turns dropout
         on; it applies on the adapter path only, and the frozen path sees the
-        undropped input. With `record` false neither the gate nor the
-        stacked op records anything, so there is no autodiff graph; the
-        value is the recorded forward's, bit for bit.
+        undropped input. The matrix draws its dropped positions once, in the
+        (tokens, K, in_dim) layout of its selection slots. With `record`
+        false neither the gate nor the stacked op records anything, so there
+        is no autodiff graph; the value is the recorded forward's, bit for
+        bit.
         """
         gate = self.router.gate(x, record)
         first = self.experts[0]
-        keep = dropout_mask((x.shape[0], self.router.k, self.in_dim), first.dropout_rate,
-                            rng, x.dtype)
-        return stacked_lora(x, self.frozen.data, gate, self.experts, keep, first.scaling,
-                            record), gate
+        dropped = dropout_positions((x.shape[0], self.router.k, self.in_dim),
+                                    first.dropout_rate, rng)
+        return stacked_lora(x, self.frozen.data, gate, self.experts, dropped,
+                            first.dropout_rate, first.scaling, record), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         params = {f"{prefix}frozen": self.frozen, f"{prefix}router": self.router.weight}

@@ -211,15 +211,14 @@ def load_jsonl(path) -> list[Example]:
             if not isinstance(label, str) or len(label) != 1:
                 raise ValueError(f"line {lineno}: label must be a single character")
             choices = record.get("choices")
-            if choices is not None:
-                if not isinstance(choices, (list, str)) or not all(
-                        isinstance(c, str) and len(c) == 1 for c in choices):
-                    raise ValueError(f"line {lineno}: choices must be a list or string "
-                                     "of single characters")
-                choices = encode("".join(choices))
+            if choices is not None and (not isinstance(choices, (list, str)) or not all(
+                    isinstance(c, str) and len(c) == 1 for c in choices)):
+                raise ValueError(f"line {lineno}: choices must be a list or string "
+                                 "of single characters")
             try:
-                examples.append(Example(prompt=encode(prompt), label=ord(label),
-                                        choices=choices))
+                examples.append(Example(
+                    prompt=encode(prompt), label=encode(label)[0],
+                    choices=None if choices is None else encode("".join(choices))))
             except ValueError as err:
                 raise ValueError(f"line {lineno}: {err}") from err
     if not examples:

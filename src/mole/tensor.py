@@ -377,30 +377,27 @@ def cross_entropy(logits: Tensor, target_index) -> Tensor:
     return _make(out_data, (logits,), backward)
 
 
-def dropout_mask(shape, rate: float, rng: "Rng | None",
-                 dtype=np.float64) -> np.ndarray | None:
-    """Inverted-dropout keep mask of `shape`, drawn from `rng`: kept entries
-    are 1/(1-rate), dropped ones 0. An rng is what turns dropout on: None
-    without one or at rate 0, where nothing is dropped, so the inference path
-    stays deterministic.
+def dropout_positions(shape, rate: float, rng: "Rng | None") -> np.ndarray | None:
+    """The entries inverted dropout zeroes in an array of `shape` (the kept
+    ones are scaled by 1/(1-rate)), as ascending flat row-major int64
+    positions drawn from `rng`. An rng is what turns dropout on: None without
+    one or at rate 0, where nothing is dropped, so inference is deterministic.
 
-    Each entry is dropped independently with probability `rate`. The mask is
-    drawn as the gaps between dropped entries in row-major order, which are
-    Geometric(rate): about rate * size draws instead of one per entry. Gaps
-    come in fixed-size chunks until they pass the end, so the draws a mask
-    takes from `rng` depend only on the stream and the shape."""
+    Each entry is dropped independently with probability `rate`, drawn as
+    the gaps between dropped entries, which are Geometric(rate): about
+    rate * size draws instead of one per entry. Gaps come in fixed-size
+    chunks until they pass the end, so what a draw takes from `rng` depends
+    only on the stream and the shape."""
     if rng is None or rate <= 0.0:
         return None
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     size = int(np.prod(shape))
-    mask = np.full(size, 1.0 / (1.0 - rate), dtype=dtype)
     chunk = int(rate * size + 4.0 * np.sqrt(rate * size)) + 1
     dropped = np.cumsum(rng.geometric(rate, chunk)) - 1
     while dropped[-1] < size:
         dropped = np.concatenate([dropped, dropped[-1] + np.cumsum(rng.geometric(rate, chunk))])
-    mask[dropped[dropped < size]] = 0.0
-    return mask.reshape(shape)
+    return dropped[:np.searchsorted(dropped, size)]
 
 
 # -- randomness --------------------------------------------------------------

@@ -360,6 +360,50 @@ def test_full_adapted_layer_grad_check(num_experts, k):
     assert np.any(x.grad)
 
 
+def mutated_stacked_lora(old: str, new: str):
+    """`stacked_lora` compiled from its own source with `old` replaced by `new`."""
+    import inspect
+
+    import mole.adapters
+
+    source = inspect.getsource(mole.adapters.stacked_lora)
+    assert source.count(old) == 1, f"mutation target not found once: {old!r}"
+    namespace = dict(vars(mole.adapters))
+    exec(compile(source.replace(old, new), mole.adapters.__file__, "exec"), namespace)
+    return namespace["stacked_lora"]
+
+
+@pytest.mark.parametrize("mutation", [
+    None,
+    # the dropout mask left off the input gradient
+    ("for d_slot in slot_rows(d_rows):",
+     "for d_slot in d_rows.reshape(tokens, slots, -1).transpose(1, 0, 2):"),
+    # the 1/(1-rate) scale left off the in-factor gradient
+    ("slot_rows(np.repeat(x.data, slots, axis=0))",
+     "slot_rows(np.repeat(x.data, slots, axis=0) / keep)"),
+], ids=["real-op", "unmasked-input-grad", "unscaled-in-factor-grad"])
+def test_grad_check_catches_a_wrong_dropout_backward(monkeypatch, mutation):
+    """At (N, K) = (3, 2) and rate 0.5 the f64 grad check passes the op as
+    it is and fails each deliberately wrong backward of its dropout slots;
+    the forward, and so the loss the differences see, is the op's own."""
+    import mole.adapters
+    from mole.tensor import grad_check
+
+    if mutation is not None:
+        monkeypatch.setattr(mole.adapters, "stacked_lora", mutated_stacked_lora(*mutation))
+    layer = make_layer(5, 4, num_experts=3, k=2, rank=2, seed=71, dropout_rate=0.5)
+    randomize_adapters(layer, 72)
+    x = Tensor(Rng(73).normal((3, 5)), requires_grad=True)
+    targets = np.array([1, 0, 3])
+
+    def f():
+        out, gate = layer.forward(x, rng=Rng(74).child("drop"))
+        return cross_entropy(out, targets) + 0.01 * balance_loss_tensor([gate])
+
+    result = grad_check(f, dict(layer.named_parameters(), x=x), step=1e-5, tolerance=1e-5)
+    assert result.passed is (mutation is None), result.summary()
+
+
 def test_adapted_layer_grad_check_tied_router_logits():
     """A zero router ties every logit: each token takes experts 0 and 1 (ties
     go to the lower index) at fusion 1/2, so two of four experts serve all
@@ -433,10 +477,30 @@ def test_inference_forward_equals_the_recording_forward(num_experts, k):
         assert len(np.unique(gate.selected)) < 8
 
 
+def test_dropout_forward_matches_per_slot_loop_oracle():
+    """Entry (t, s, i) of the drawn positions drops input i of token t's
+    selection slot s; kept inputs are scaled by 1/(1 - rate), and slot s
+    runs only through the slot's expert, at its fusion weight."""
+    from mole.tensor import dropout_positions
+
+    layer = make_layer(6, 5, num_experts=4, k=2, seed=98, dropout_rate=0.5)
+    randomize_adapters(layer, 99)
+    x = Rng(100).normal((7, 6))
+    out, gate = layer.forward(Tensor(x), rng=Rng(101))
+    mask = np.full(7 * 2 * 6, 2.0)
+    mask[dropout_positions((7, 2, 6), 0.5, Rng(101))] = 0.0
+    mask = mask.reshape(7, 2, 6)
+    for t in range(7):
+        expected = layer.frozen.data @ x[t]
+        for s, (i, w) in enumerate(zip(gate.selected[t], gate.weights[t])):
+            expected = expected + w * expert_delta(layer.experts[i], mask[t, s] * x[t])
+        np.testing.assert_allclose(out.data[t], expected, rtol=1e-12, atol=1e-12)
+
+
 def test_inference_forward_with_dropout_equals_the_recording_forward():
-    """An rng with record=False: each selection slot's masked copy of x gets
-    its own stacked in-product, so the value is the recording forward's,
-    bit for bit, under the same masks, and not the undropped one."""
+    """An rng with record=False: each selection slot's masked copy of x is a
+    row block of the one stacked in-product, so the value is the recording
+    forward's, bit for bit, under the same masks, and not the undropped one."""
     layer = make_layer(6, 5, num_experts=4, k=2, seed=94, dropout_rate=0.5)
     randomize_adapters(layer, 95)
     x = Tensor(Rng(96).normal((7, 6)))

@@ -88,6 +88,17 @@ class TestTrain:
         ckpt_b = next((tmp_path / "b").iterdir()) / "model.ckpt"
         assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
 
+    def test_two_slot_dropout_runs_are_byte_identical(self, tmp_path):
+        # K=2 with up to four times more experts than K in a layer: every
+        # step trains each token's two dropout slots as rows of one product
+        args = dict(dataset="copy", data_size="40", alloc="inverted:2468", k="2", steps="4",
+                    metrics_every="1", seed="1")
+        for out in ("a", "b"):
+            assert run_cli(*train_args(tmp_path, out=str(tmp_path / out), **args)) == 0
+        for name in ("metrics.csv", "model.ckpt"):
+            a, b = (next((tmp_path / out).iterdir()) / name for out in ("a", "b"))
+            assert a.read_bytes() == b.read_bytes(), name
+
     def test_zero_steps_checkpoint_equals_initialization(self, tmp_path):
         assert run_cli(*train_args(tmp_path, steps="0")) == 0
         run_dir = next((tmp_path / "runs").iterdir())
@@ -294,6 +305,14 @@ class TestTrain:
         data.write_text('{"prompt": "", "label": "a"}\n{"prompt": "ab=", "label": "b"}\n')
         assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2")) == 1
         assert "line 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_jsonl_label_outside_the_vocabulary_rejected_before_the_run(self, tmp_path, capsys):
+        data = tmp_path / "euro_label.jsonl"
+        data.write_text('{"prompt": "ab=", "label": "\\u20ac"}\n')
+        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", seed="1", steps="2",
+                                   batch_size="2")) == 1
+        assert "line 1: " in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_non_string_jsonl_prompt_rejected_before_the_run(self, tmp_path, capsys):

@@ -144,7 +144,11 @@ class TestJsonl:
         ('{"prompt": ["a", "b"], "label": "a"}', "prompt must be a string"),
         ('{"prompt": "ab=", "label": "a", "choices": 5}', "choices must be a list or string"),
         ('{"prompt": "ab=", "label": "a", "choices": {"a": 1}}', "choices must be a list"),
-    ], ids=["int-prompt", "list-prompt", "int-choices", "object-choices"])
+        ('{"prompt": "ab=", "label": "\\u20ac"}', "text .* outside the byte vocabulary"),
+        ('{"prompt": "ab=", "label": "a", "choices": ["a", "\\u0100"]}',
+         "text .* outside the byte vocabulary"),
+    ], ids=["int-prompt", "list-prompt", "int-choices", "object-choices", "label-outside-vocab",
+            "choice-outside-vocab"])
     def test_wrong_field_types_name_line_number(self, tmp_path, line, match):
         path = tmp_path / "data.jsonl"
         path.write_text('{"prompt": "ab=", "label": "a"}\n' + line + "\n")

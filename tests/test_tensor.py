@@ -13,7 +13,7 @@ from mole.tensor import (
     Rng,
     Tensor,
     cross_entropy,
-    dropout_mask,
+    dropout_positions,
     grad_check,
     layer_norm,
     matmul,
@@ -179,18 +179,28 @@ class TestStructuralOps:
 
 
 class TestDropout:
-    def test_eval_is_identity(self):
-        assert dropout_mask((3,), 0.5, None) is None
-        assert dropout_mask((3,), 0.0, Rng(11).child("drop")) is None
+    """`dropout_positions` returns the flat positions of the dropped entries;
+    the kept ones are scaled by 1/(1-rate) where the mask is applied."""
 
-    def test_train_scales_kept_entries(self):
-        keep = dropout_mask((10000,), 0.25, Rng(11).child("drop"))
-        np.testing.assert_allclose(keep[keep > 0], 1.0 / 0.75)
-        assert abs(keep.mean() - 1.0) < 0.03
+    def test_eval_is_identity(self):
+        assert dropout_positions((3,), 0.5, None) is None
+        assert dropout_positions((3,), 0.0, Rng(11).child("drop")) is None
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5])
+    def test_rate_outside_the_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            dropout_positions((3,), rate, Rng(11).child("drop"))
+
+    def test_positions_are_distinct_ascending_and_in_range(self):
+        dropped = dropout_positions((10000,), 0.25, Rng(11).child("drop"))
+        assert dropped.dtype == np.int64
+        assert np.all(np.diff(dropped) > 0) and dropped[0] >= 0 and dropped[-1] < 10000
+        # the kept entries' mean 1/(1-rate) scale is within 0.03 of one
+        assert abs((10000 - dropped.size) / 0.75 / 10000 - 1.0) < 0.03
 
     def test_same_rng_same_mask(self):
-        a = dropout_mask((64,), 0.5, Rng(2).child("d"))
-        b = dropout_mask((64,), 0.5, Rng(2).child("d"))
+        a = dropout_positions((64,), 0.5, Rng(2).child("d"))
+        b = dropout_positions((64,), 0.5, Rng(2).child("d"))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("rate", [0.05, 0.5, 0.9])
@@ -198,17 +208,17 @@ class TestDropout:
         # drop fraction and adjacent-pair fraction of an i.i.d. Bernoulli(rate)
         # mask, each within 5 standard errors, over 100,000 entries
         shape = (250, 2, 200)
-        keep = dropout_mask(shape, rate, Rng(3).child("d", rate))
-        assert keep.shape == shape
-        np.testing.assert_array_equal(keep[keep != 0], 1.0 / (1.0 - rate))
-        dropped = (keep == 0).reshape(-1)
+        positions = dropout_positions(shape, rate, Rng(3).child("d", rate))
+        dropped = np.zeros(math.prod(shape), dtype=bool)
+        dropped[positions] = True
         n = dropped.size
         assert abs(dropped.mean() - rate) < 5 * math.sqrt(rate * (1 - rate) / n)
         pairs = dropped[1:] & dropped[:-1]
         # neighbouring pairs share an entry: covariance r^3 - r^4 each side
         var = (rate**2 * (1 - rate**2) + 2 * (rate**3 - rate**4)) / (n - 1)
         assert abs(pairs.mean() - rate**2) < 5 * math.sqrt(var)
-        np.testing.assert_array_equal(keep, dropout_mask(shape, rate, Rng(3).child("d", rate)))
+        np.testing.assert_array_equal(positions,
+                                      dropout_positions(shape, rate, Rng(3).child("d", rate)))
 
     def test_gaps_are_drawn_until_they_pass_the_end(self):
         class UnitGaps:
@@ -217,7 +227,8 @@ class TestDropout:
             def geometric(self, p, size):
                 return np.ones(size, dtype=np.int64)
 
-        np.testing.assert_array_equal(dropout_mask((40, 50), 0.05, UnitGaps()), 0.0)
+        np.testing.assert_array_equal(dropout_positions((40, 50), 0.05, UnitGaps()),
+                                      np.arange(2000))
 
 
 class TestGradCheck:
