@@ -36,9 +36,11 @@ from .checkpoint import load, save
 from .model import (
     AdamW,
     AdaptedModel,
+    RunConfig,
     ToyTransformerConfig,
     TrainingDiverged,
     evaluate,
+    fit,
     train_step,
 )
 from .tasks import Example, TaskData, generate_domain_sequence, generate_task, load_jsonl
@@ -48,9 +50,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyMatrix", "AdamW", "AdaptedLinear", "AdaptedModel", "AllocationPlan",
-    "Example", "LoraExpert", "ModelDims", "Rng", "Router", "RoutingOutcome",
+    "Example", "LoraExpert", "ModelDims", "Rng", "Router", "RoutingOutcome", "RunConfig",
     "TaskData", "Tensor", "ToyTransformerConfig", "TrainingDiverged",
-    "adapted_forward", "evaluate", "expert_delta", "generate_domain_sequence",
+    "adapted_forward", "evaluate", "expert_delta", "fit", "generate_domain_sequence",
     "generate_task", "grad_check", "load", "load_balance_loss", "load_jsonl",
     "overall_performance", "parse_alloc_spec", "performance_drop",
     "plan_from_shape", "redundancy", "redundancy_report", "router_stats",

@@ -1,5 +1,7 @@
 """Command-line entry point: params, train, continual, analyze.
 
+Each command parses its flags and config file into the library's configs,
+calls the library (`mole.model.fit` trains) and writes the files.
 Every run is fully determined by its configuration (seed included); artifacts
 land in a directory named by the hash of that configuration, so rerunning a
 command reproduces its outputs byte for byte. Exit codes: 0 success, 1 usage
@@ -23,35 +25,30 @@ from .allocation import DIMS_PRESETS, ModelDims, parse_alloc_spec, trainable_par
 from .analysis import AccuracyMatrix, build_report, dumps_report, emit_report
 from .checkpoint import CheckpointError, atomic_write, load, save
 from .model import (
+    METRICS_HEADER,
     PRECISIONS,
-    AdamW,
     AdaptedModel,
+    RunConfig,
     ToyTransformerConfig,
     TrainingDiverged,
     evaluate,
-    train_step,
+    fit,
 )
 from .tasks import (
     TASK_KINDS,
     Example,
     TaskData,
+    check_vocab,
     generate_domain_sequence,
     generate_task,
     load_jsonl,
 )
-from .tensor import NonFiniteError, Rng
+from .tensor import NonFiniteError
 
-# Every model field except the two the CLI derives itself (allocation from
-# alloc and k, seed from the mandatory --seed), with the dataclass's defaults.
-_MODEL_DEFAULTS = {f.name: f.default for f in fields(ToyTransformerConfig)
-                   if f.name not in ("allocation", "seed")}
-
-TRAIN_DEFAULTS = {
-    "dataset": "copy", "data_size": 200, "alloc": "counts=2,2,2,2", "k": 2,
-    "steps": 500, "epochs": None, "batch_size": 25, "lr": 3e-3, "lr_decay": 0.9,
-    "weight_decay": 0.01, "cutoff_len": 64, "target_acc": None, "metrics_every": 25,
-    **_MODEL_DEFAULTS,
-}
+# Every field of the two configs with its default, except the two the CLI
+# derives itself: allocation from alloc and k, seed from the mandatory --seed.
+TRAIN_DEFAULTS = {f.name: f.default for f in (*fields(RunConfig), *fields(ToyTransformerConfig))
+                  if f.name not in ("allocation", "seed")}
 
 CONTINUAL_DEFAULTS = dict(TRAIN_DEFAULTS, domains=5, domain_size=150,
                           steps=300, eval_split="eval", identical_domains=False)
@@ -115,7 +112,7 @@ def _coerce(key: str, raw: str):
     return value
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+def _resolve(args, defaults: dict) -> tuple[dict, ToyTransformerConfig, RunConfig]:
     """Merge precedence: explicit flags > config file > built-in defaults."""
     merged = dict(defaults)
     given = set()
@@ -133,28 +130,18 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             given.add(key)
     if merged.get("seed") is None:
         raise UsageError("a seed is mandatory (--seed or config file)")
-    for key, low in (("batch_size", 1), ("metrics_every", 1), ("cutoff_len", 1),
-                     ("steps", 0), ("epochs", 0)):
-        if merged[key] is not None and merged[key] < low:
-            raise UsageError(f"{key} must be at least {low}, got {merged[key]}")
-    if merged["cutoff_len"] > merged["max_seq_len"]:
+    config = ToyTransformerConfig(
+        allocation=parse_alloc_spec(merged["alloc"], merged["num_layers"], k=merged["k"]),
+        seed=merged["seed"], **{f.name: merged[f.name] for f in fields(ToyTransformerConfig)
+                                if f.name in defaults})
+    if merged["cutoff_len"] > config.max_seq_len:
         # a prompt longer than max_seq_len fails the forward: a cutoff the
         # user gave is refused, the default one shrinks to fit
         if "cutoff_len" in given:
             raise UsageError(f"cutoff_len {merged['cutoff_len']} exceeds max_seq_len "
-                             f"{merged['max_seq_len']}")
-        merged["cutoff_len"] = _default_cutoff(merged["max_seq_len"])
-    if not 0.0 <= merged["lr_decay"] <= 1.0:
-        raise UsageError(f"lr_decay must be in [0, 1], got {merged['lr_decay']}")
-    for key in ("lr", "weight_decay", "lambda_aux"):
-        if merged[key] < 0:
-            raise UsageError(f"{key} must not be negative, got {merged[key]}")
-    return merged
-
-
-def _default_cutoff(max_seq_len: int) -> int:
-    """The default cutoff, shrunk to a smaller max_seq_len."""
-    return min(TRAIN_DEFAULTS["cutoff_len"], max_seq_len)
+                             f"{config.max_seq_len}")
+        merged["cutoff_len"] = config.max_seq_len
+    return merged, config, RunConfig(**{f.name: merged[f.name] for f in fields(RunConfig)})
 
 
 def _run_dir(resolved: dict) -> Path:
@@ -173,84 +160,26 @@ def _run_dir(resolved: dict) -> Path:
     return run_dir
 
 
-def _model_config(resolved: dict) -> ToyTransformerConfig:
-    allocation = parse_alloc_spec(resolved["alloc"], resolved["num_layers"],
-                                  k=resolved["k"])
-    return ToyTransformerConfig(allocation=allocation, seed=resolved["seed"],
-                                **{key: resolved[key] for key in _MODEL_DEFAULTS})
-
-
 def _truncate(examples, cutoff: int):
     """Left-truncate overlong prompts so the answer position survives."""
     return [Example(prompt=ex.prompt[-cutoff:], label=ex.label, choices=ex.choices)
             if len(ex.prompt) > cutoff else ex for ex in examples]
 
 
-def _load_dataset(resolved: dict) -> TaskData:
-    spec = resolved["dataset"]
-    cutoff = resolved["cutoff_len"]
-    if spec.startswith("jsonl:"):
-        path = spec[len("jsonl:"):]
+def _load_dataset(run: RunConfig) -> TaskData:
+    if run.dataset.startswith("jsonl:"):
+        path = run.dataset[len("jsonl:"):]
         try:
-            examples = _truncate(load_jsonl(path), cutoff)
+            examples = _truncate(load_jsonl(path), run.cutoff_len)
         except OSError as err:
             raise UsageError(f"cannot read dataset {path}: {err}") from err
         return TaskData(name=f"jsonl:{path}", train=examples, eval=examples)
-    if spec in TASK_KINDS:
-        task = generate_task(spec, resolved["data_size"], seed=resolved["seed"])
-        return TaskData(name=task.name, train=_truncate(task.train, cutoff),
-                        eval=_truncate(task.eval, cutoff))
-    raise UsageError(f"unknown dataset spec {spec!r}: use a task kind "
+    if run.dataset in TASK_KINDS:
+        task = generate_task(run.dataset, run.data_size, seed=run.seed)
+        return TaskData(name=task.name, train=_truncate(task.train, run.cutoff_len),
+                        eval=_truncate(task.eval, run.cutoff_len))
+    raise UsageError(f"unknown dataset spec {run.dataset!r}: use a task kind "
                      f"{TASK_KINDS} or jsonl:PATH")
-
-
-def _accuracies(model: AdaptedModel, task: TaskData) -> tuple[float, float]:
-    train_acc = evaluate(model, task.train)
-    if task.eval is task.train:     # a JSONL file is both splits: evaluate it once
-        return train_acc, train_acc
-    return train_acc, evaluate(model, task.eval) if task.eval else float("nan")
-
-
-def _train_loop(model: AdaptedModel, task: TaskData, resolved: dict,
-                metrics_path: Path, domain_tag: str = "") -> tuple[float, float] | None:
-    """Deterministic training loop with a linearly decaying learning rate.
-
-    Appends a metrics row (step, lr, losses, accuracies) to `metrics_path` and
-    flushes it as soon as it is logged, so a run that stops early keeps them.
-    Returns the last row's (train, eval) accuracies, None if none was logged.
-    """
-    batch_size = min(resolved["batch_size"], len(task.train))
-    steps = resolved["steps"]
-    if resolved.get("epochs") is not None:
-        batches_per_epoch = -(-len(task.train) // batch_size)
-        steps = resolved["epochs"] * batches_per_epoch
-    lr0 = resolved["lr"]
-    opt = AdamW(model.trainable_parameters(), lr=lr0,
-                weight_decay=resolved["weight_decay"])
-    rng = Rng(resolved["seed"]).child("train", domain_tag)
-    order = Rng(resolved["seed"]).child("batches", domain_tag)
-    target = resolved.get("target_acc")
-    accuracies = None
-    with open(metrics_path, "a", encoding="utf-8") as log:
-        for step in range(steps):
-            frac = step / max(1, steps - 1)
-            lr = lr0 * (1.0 - resolved["lr_decay"] * frac)
-            picks = order.integers(0, len(task.train), size=batch_size)
-            stats = train_step(model, [task.train[i] for i in picks], opt, rng, lr=lr)
-            last = step == steps - 1
-            if (step + 1) % resolved["metrics_every"] == 0 or last:
-                train_acc, eval_acc = accuracies = _accuracies(model, task)
-                log.write(",".join([
-                    str(step + 1), repr(lr), repr(stats.total_loss),
-                    repr(stats.cross_entropy), repr(stats.aux_loss),
-                    repr(train_acc), repr(eval_acc)]) + "\n")
-                log.flush()
-                if target is not None and train_acc >= target:
-                    break
-    return accuracies
-
-
-METRICS_HEADER = "step,lr,total_loss,cross_entropy,aux_loss,train_accuracy,eval_accuracy"
 
 
 def cmd_params(args) -> int:
@@ -272,20 +201,19 @@ def cmd_params(args) -> int:
 
 
 def cmd_train(args) -> int:
-    resolved = _resolve(args, TRAIN_DEFAULTS)
-    config = _model_config(resolved)
-    task = _load_dataset(resolved)
+    resolved, config, run = _resolve(args, TRAIN_DEFAULTS)
+    task = _load_dataset(run)
+    check_vocab(task.all_examples, config.vocab_size)
     model = AdaptedModel.build(config)  # its own checks fire before anything is written
     run_dir = _run_dir(resolved)
-    metrics_path = run_dir / "metrics.csv"
     try:
-        accuracies = _train_loop(model, task, resolved, metrics_path)
+        with open(run_dir / "metrics.csv", "a", encoding="utf-8") as log:
+            train_acc, eval_acc = fit(model, task, run, log)
     except TrainingDiverged as err:
         print(f"training halted: {err}", file=sys.stderr)
         save(model, run_dir / "model.ckpt")
         return 2
     save(model, run_dir / "model.ckpt")
-    train_acc, eval_acc = accuracies or _accuracies(model, task)
     summary = {"train_accuracy": train_acc, "eval_accuracy": eval_acc,
                "steps_taken": model.step}
     with atomic_write(run_dir / "summary.json") as fh:
@@ -301,36 +229,37 @@ def _continual_eval_pool(domain: TaskData, split: str):
 
 
 def cmd_continual(args) -> int:
-    resolved = _resolve(args, CONTINUAL_DEFAULTS)
-    config = _model_config(resolved)
+    resolved, config, run = _resolve(args, CONTINUAL_DEFAULTS)
     domains = generate_domain_sequence(resolved["domains"], resolved["domain_size"],
-                                       seed=resolved["seed"])
+                                       seed=run.seed)
     if resolved["identical_domains"]:
         # null test: every stage revisits the first domain, so no shift occurs
         domains = [TaskData(name=f"stage{k}", train=domains[0].train,
                             eval=domains[0].eval) for k in range(len(domains))]
+    for domain in domains:
+        check_vocab(domain.all_examples, config.vocab_size)
     model = AdaptedModel.build(config)
     run_dir = _run_dir(resolved)
-    metrics_path = run_dir / "metrics.csv"
     t = len(domains)
     values = np.full((t, t), np.nan)
     names = tuple(d.name for d in domains)
     matrix_path = run_dir / "matrix.csv"
     split = resolved["eval_split"]
-    for stage, domain in enumerate(domains):
-        try:
-            logged = _train_loop(model, domain, resolved, metrics_path, domain_tag=domain.name)
-        except TrainingDiverged as err:
-            AccuracyMatrix(values, names).to_csv(matrix_path)  # keep rows so far
-            print(f"continual run halted in {domain.name}: {err}", file=sys.stderr)
-            return 2
-        for i in range(stage + 1):
-            if i == stage and logged is not None and split != "all":
-                # the last logged row measured this pool on these weights
-                values[stage, i] = logged[0 if split == "train" else 1]
-            else:
-                values[stage, i] = evaluate(model, _continual_eval_pool(domains[i], split))
-        AccuracyMatrix(values, names).to_csv(matrix_path)
+    with open(run_dir / "metrics.csv", "a", encoding="utf-8") as log:
+        for stage, domain in enumerate(domains):
+            try:
+                current = fit(model, domain, run, log, tag=domain.name)
+            except TrainingDiverged as err:
+                AccuracyMatrix(values, names).to_csv(matrix_path)  # keep rows so far
+                print(f"continual run halted in {domain.name}: {err}", file=sys.stderr)
+                return 2
+            for i in range(stage + 1):
+                if i == stage and split != "all":
+                    # fit measured this pool on these weights
+                    values[stage, i] = current[0 if split == "train" else 1]
+                else:
+                    values[stage, i] = evaluate(model, _continual_eval_pool(domains[i], split))
+            AccuracyMatrix(values, names).to_csv(matrix_path)
     matrix = AccuracyMatrix(values, names)
     report = build_report(model=model, matrix=matrix)
     emit_report(report, "json", run_dir / "report.json")
@@ -356,10 +285,10 @@ def cmd_analyze(args) -> int:
         model = load(ckpt)
         if args.dataset:
             # prompts are cut as a run with this max_seq_len cut them
-            resolved = dict(TRAIN_DEFAULTS, dataset=args.dataset,
-                            seed=args.seed if args.seed is not None else model.config.seed,
-                            cutoff_len=_default_cutoff(model.config.max_seq_len))
-            examples = _load_dataset(resolved).all_examples
+            examples = _load_dataset(RunConfig(
+                dataset=args.dataset,
+                seed=args.seed if args.seed is not None else model.config.seed,
+                cutoff_len=min(RunConfig.cutoff_len, model.config.max_seq_len))).all_examples
     if args.matrix:
         if not Path(args.matrix).exists():
             raise UsageError(f"matrix file not found: {args.matrix}")

@@ -55,6 +55,10 @@ class ToyTransformerConfig:
     precision: str = "f64"
 
     def __post_init__(self):
+        for key, low in (("num_heads", 1), ("vocab_size", 1), ("max_seq_len", 1),
+                         ("lambda_aux", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if self.allocation is None:
             self.allocation = AllocationPlan((2,) * self.num_layers, k=2)
         if self.d_model % self.num_heads != 0:
@@ -306,6 +310,35 @@ class AdaptedModel:
 # -- training ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """A training run's settings beside the model's, with `mole train`'s defaults."""
+
+    dataset: str = "copy"
+    data_size: int = 200
+    alloc: str = "counts=2,2,2,2"
+    k: int = 2
+    steps: int = 500
+    epochs: int | None = None
+    batch_size: int = 25
+    lr: float = 3e-3
+    lr_decay: float = 0.9
+    weight_decay: float = 0.01
+    cutoff_len: int = 64
+    target_acc: float | None = None
+    metrics_every: int = 25
+    seed: int = field(kw_only=True)
+
+    def __post_init__(self):
+        for key, low in (("batch_size", 1), ("metrics_every", 1), ("cutoff_len", 1),
+                         ("steps", 0), ("epochs", 0), ("lr", 0), ("weight_decay", 0)):
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise ValueError(f"{key} must be at least {low}, got {value}")
+        if not 0.0 <= self.lr_decay <= 1.0:
+            raise ValueError(f"lr_decay must be in [0, 1], got {self.lr_decay}")
+
+
 class AdamW:
     """Decoupled-weight-decay Adam over the model's trainable parameters.
 
@@ -451,3 +484,46 @@ def evaluate(model: AdaptedModel, examples) -> float:
             candidates = np.array(ex.choices or range(len(row)), dtype=np.intp)
             correct += int(candidates[np.argmax(row[candidates])] == ex.label)
     return correct / len(examples)
+
+
+METRICS_HEADER = "step,lr,total_loss,cross_entropy,aux_loss,train_accuracy,eval_accuracy"
+
+
+def _accuracies(model: AdaptedModel, task) -> tuple[float, float]:
+    train_acc = evaluate(model, task.train)
+    if task.eval is task.train:     # a JSONL file is both splits: evaluate it once
+        return train_acc, train_acc
+    return train_acc, evaluate(model, task.eval) if task.eval else float("nan")
+
+
+def fit(model: AdaptedModel, task, run: RunConfig, log=None, tag="") -> tuple[float, float]:
+    """Train `model` on `task.train` as `mole train` does and return the
+    (train, eval) accuracies of its final weights, measured if no row was
+    logged. Batches and dropout come from the seed's streams keyed by `tag`.
+    Every `run.metrics_every` steps and at the last, a METRICS_HEADER row
+    goes to the text stream `log`, flushed at once; the run stops early once
+    a logged train accuracy reaches `run.target_acc`."""
+    batch_size = min(run.batch_size, len(task.train))
+    steps = run.steps
+    if run.epochs is not None:
+        steps = run.epochs * -(-len(task.train) // batch_size)
+    opt = AdamW(model.trainable_parameters(), lr=run.lr, weight_decay=run.weight_decay)
+    rng = Rng(run.seed).child("train", tag)
+    order = Rng(run.seed).child("batches", tag)
+    accuracies = None
+    for step in range(steps):
+        frac = step / max(1, steps - 1)
+        lr = run.lr * (1.0 - run.lr_decay * frac)
+        picks = order.integers(0, len(task.train), size=batch_size)
+        stats = train_step(model, [task.train[i] for i in picks], opt, rng, lr=lr)
+        if (step + 1) % run.metrics_every == 0 or step == steps - 1:
+            train_acc, eval_acc = accuracies = _accuracies(model, task)
+            if log is not None:
+                log.write(",".join([
+                    str(step + 1), repr(lr), repr(stats.total_loss),
+                    repr(stats.cross_entropy), repr(stats.aux_loss),
+                    repr(train_acc), repr(eval_acc)]) + "\n")
+                log.flush()
+            if run.target_acc is not None and train_acc >= run.target_acc:
+                break
+    return accuracies or _accuracies(model, task)

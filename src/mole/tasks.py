@@ -70,6 +70,13 @@ class TaskData:
         return self.train if self.eval is self.train else self.train + self.eval
 
 
+def check_vocab(examples, vocab_size: int) -> None:
+    """Reject examples whose prompt tokens, label or choices reach `vocab_size`."""
+    top = max(max(*ex.prompt, ex.label, *(ex.choices or ())) for ex in examples)
+    if top >= vocab_size:
+        raise ValueError(f"the dataset holds token id {top}, outside vocab_size {vocab_size}")
+
+
 def _split(examples: list[Example], name: str) -> TaskData:
     if len(examples) < 2:
         raise ValueError(f"need at least 2 examples to split, got {len(examples)}")

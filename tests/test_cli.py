@@ -114,17 +114,17 @@ class TestTrain:
 
     def test_diverged_run_keeps_logged_metrics(self, tmp_path, monkeypatch, capsys):
         # a run that diverges at step 30 still leaves its step-25 row on disk
-        import mole.cli
+        import mole.model
         from mole.model import TrainingDiverged
 
-        step = mole.cli.train_step
+        step = mole.model.train_step
 
         def diverge_at_30(model, *args, **kwargs):
             if model.step == 29:
                 raise TrainingDiverged("injected divergence at step 30")
             return step(model, *args, **kwargs)
 
-        monkeypatch.setattr(mole.cli, "train_step", diverge_at_30)
+        monkeypatch.setattr(mole.model, "train_step", diverge_at_30)
         assert run_cli(*train_args(tmp_path, steps="40", **{"metrics-every": "25"})) == 2
         assert "injected divergence" in capsys.readouterr().err
         run_dir = next((tmp_path / "runs").iterdir())
@@ -139,11 +139,16 @@ class TestTrain:
                                             ("lr_decay", "2"), ("lr_decay", "-0.5"),
                                             ("lr", "-1"), ("weight_decay", "-1"),
                                             ("lambda_aux", "-1"), ("dropout", "1.5"),
-                                            ("dropout", "-0.1"), ("alpha", "0")])
+                                            ("dropout", "-0.1"), ("alpha", "0"),
+                                            ("num_heads", "0"), ("num_heads", "-1"),
+                                            ("vocab_size", "0"), ("max_seq_len", "0"),
+                                            ("vocab_size", "48")])
     def test_non_positive_run_lengths_rejected(self, tmp_path, capsys, source, key, value):
         # out-of-range run lengths, lr_decay outside [0, 1], negative learning
-        # settings and adapter settings the model rejects all fail before the
-        # run directory exists, from a flag or a config file
+        # settings, model sizes below 1, a vocabulary that misses a dataset
+        # token (modular_add uses ids 43 to 61) and adapter settings the model
+        # rejects all fail before the run directory exists, from a flag or a
+        # config file
         flag = "--" + key.replace("_", "-")
         argv = train_args(tmp_path)
         if flag in argv:
@@ -278,16 +283,16 @@ class TestTrain:
     def test_jsonl_lines_evaluated_once_per_logged_row(self, tmp_path, monkeypatch):
         # a JSONL file is both splits: each row evaluates it once and logs
         # that accuracy for both
-        import mole.cli
+        import mole.model
 
         calls = []
-        evaluate = mole.cli.evaluate
+        evaluate = mole.model.evaluate
 
         def counted(model, examples):
             calls.append(len(examples))
             return evaluate(model, examples)
 
-        monkeypatch.setattr(mole.cli, "evaluate", counted)
+        monkeypatch.setattr(mole.model, "evaluate", counted)
         data = tmp_path / "data.jsonl"
         data.write_text("".join(json.dumps({"prompt": f"{c}x=", "label": c}) + "\n"
                                 for c in "ab" * 3))
@@ -325,16 +330,16 @@ class TestTrain:
     def test_final_accuracies_come_from_the_last_logged_row(self, tmp_path, monkeypatch):
         # the summary reuses the accuracies logged on the final weights; only a
         # run that logged no row evaluates again
-        import mole.cli
+        import mole.model
 
         calls = []
-        evaluate = mole.cli.evaluate
+        evaluate = mole.model.evaluate
 
         def counted(model, examples):
             calls.append(model.step)
             return evaluate(model, examples)
 
-        monkeypatch.setattr(mole.cli, "evaluate", counted)
+        monkeypatch.setattr(mole.model, "evaluate", counted)
         assert run_cli(*train_args(tmp_path, out=str(tmp_path / "a"))) == 0
         assert calls == [10, 10, 20, 20, 30, 30]
         run_dir = next((tmp_path / "a").iterdir())
@@ -516,7 +521,9 @@ class TestContinual:
         matrix = AccuracyMatrix.from_csv(run_dir / "matrix.csv")
         assert matrix.domains == ("stage0", "stage1")
 
-    @pytest.mark.parametrize("key, value", [("dropout", "1.5"), ("alpha", "0"), ("lr", "-1")])
+    @pytest.mark.parametrize("key, value", [("dropout", "1.5"), ("alpha", "0"), ("lr", "-1"),
+                                            ("num_heads", "0"), ("max_seq_len", "0"),
+                                            ("vocab_size", "64")])
     def test_bad_settings_rejected_before_the_run_directory(self, tmp_path, capsys, key, value):
         assert run_cli("continual", "--domains", "2", "--domain-size", "40", "--steps", "2",
                        "--seed", "7", "--out", str(tmp_path / "c"),
@@ -526,17 +533,17 @@ class TestContinual:
 
     def test_diverged_stage_keeps_the_finished_stages(self, tmp_path, monkeypatch, capsys):
         # the second domain diverges: exit 2, and matrix.csv keeps the first stage's row
-        import mole.cli
+        import mole.model
         from mole.model import TrainingDiverged
 
-        step = mole.cli.train_step
+        step = mole.model.train_step
 
         def diverge_in_stage_two(model, *args, **kwargs):
             if model.step == 5:
                 raise TrainingDiverged("injected divergence")
             return step(model, *args, **kwargs)
 
-        monkeypatch.setattr(mole.cli, "train_step", diverge_in_stage_two)
+        monkeypatch.setattr(mole.model, "train_step", diverge_in_stage_two)
         assert run_cli("continual", "--domains", "2", "--domain-size", "40", "--steps", "4",
                        "--seed", "1", "--out", str(tmp_path / "c")) == 2
         assert "continual run halted in domain1: " in capsys.readouterr().err
@@ -565,16 +572,19 @@ class TestContinual:
     def test_current_domain_reuses_the_logged_accuracy(self, tmp_path, monkeypatch,
                                                        split, calls):
         # each stage logs the current domain's accuracies on its final weights;
-        # the matrix takes that entry from the log unless the pool is both splits
+        # the matrix takes that entry from the log unless the pool is both splits;
+        # fit and the CLI each bind evaluate, so both names are counted
         import mole.cli
+        import mole.model
 
         counted = []
-        evaluate = mole.cli.evaluate
+        evaluate = mole.model.evaluate
 
         def counting(model, examples):
             counted.append(len(examples))
             return evaluate(model, examples)
 
+        monkeypatch.setattr(mole.model, "evaluate", counting)
         monkeypatch.setattr(mole.cli, "evaluate", counting)
         assert run_cli("continual", "--domains", "2", "--domain-size", "40", "--steps", "4",
                        "--eval-split", split, "--seed", "1", "--out", str(tmp_path / "c")) == 0

@@ -3,20 +3,29 @@ training behavior, and the frozen-base contract."""
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mole.adapters import load_balance_loss
 from mole.allocation import AllocationPlan, parse_alloc_spec, trainable_param_count
+from mole.checkpoint import load
+from mole.cli import main
 from mole.model import (
     AdamW,
     AdaptedModel,
+    RunConfig,
     ToyTransformerConfig,
     TrainingDiverged,
     evaluate,
+    fit,
     length_batches,
     train_step,
 )
@@ -308,6 +317,76 @@ class TestTraining:
         model = AdaptedModel.build(tiny_config())
         with pytest.raises(ValueError, match="empty"):
             train_step(model, [], AdamW(model.trainable_parameters()), Rng(0))
+
+
+# Trains through the library alone, in a fresh interpreter that never imports
+# mole.cli, and writes the logged rows and the trained parameters.
+_FIT_SCRIPT = """
+import io, sys
+import numpy as np
+from mole import (AdaptedModel, RunConfig, ToyTransformerConfig, fit, generate_task,
+                  parse_alloc_spec)
+alloc, out = sys.argv[1], sys.argv[2]
+run = RunConfig(alloc=alloc, data_size=40, steps=4, metrics_every=1, seed=1)
+model = AdaptedModel.build(ToyTransformerConfig(
+    allocation=parse_alloc_spec(alloc, 4, k=run.k), seed=run.seed))
+log = io.StringIO()
+fit(model, generate_task(run.dataset, run.data_size, seed=run.seed), run, log)
+assert "mole.cli" not in sys.modules
+np.savez(out, rows=log.getvalue(),
+         **{name: p.data for name, p in model.trainable_parameters().items()})
+"""
+
+
+class TestFit:
+    @pytest.mark.parametrize("alloc", ["counts=2,2,2,2", "inverted:2468"])
+    def test_fit_without_the_cli_writes_mole_trains_rows_and_weights(self, tmp_path, alloc):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = tmp_path / "fit.npz"
+        result = subprocess.run([sys.executable, "-c", _FIT_SCRIPT, alloc, str(out)],
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert main(["train", "--dataset", "copy", "--seed", "1", "--steps", "4",
+                     "--data-size", "40", "--metrics-every", "1", "--alloc", alloc,
+                     "--out", str(tmp_path / "runs")]) == 0
+        run_dir = next((tmp_path / "runs").iterdir())
+        library = np.load(out)
+        rows = (run_dir / "metrics.csv").read_text().split("\n", 1)[1]
+        assert str(library["rows"]) == rows
+        params = load(run_dir / "model.ckpt").trainable_parameters()
+        assert set(params) == set(library.files) - {"rows"}
+        for name, p in params.items():
+            assert p.data.tobytes() == library[name].tobytes(), name
+
+    @pytest.mark.parametrize("config, key, value", [
+        (RunConfig, "batch_size", 0), (RunConfig, "metrics_every", 0),
+        (RunConfig, "cutoff_len", 0), (RunConfig, "steps", -1), (RunConfig, "epochs", -1),
+        (RunConfig, "lr", -1e-3), (RunConfig, "weight_decay", -0.01),
+        (RunConfig, "lr_decay", 1.5), (RunConfig, "lr_decay", -0.5),
+        # num_heads 0 would divide by zero and -1 divides d_model: both are
+        # named before the divisibility check
+        (ToyTransformerConfig, "num_heads", 0), (ToyTransformerConfig, "num_heads", -1),
+        (ToyTransformerConfig, "vocab_size", 0), (ToyTransformerConfig, "max_seq_len", 0),
+        (ToyTransformerConfig, "lambda_aux", -0.01)])
+    def test_configs_reject_out_of_range_values(self, config, key, value):
+        with pytest.raises(ValueError, match=key):
+            config(seed=0, **{key: value})
+
+    def test_run_config_needs_a_seed(self):
+        with pytest.raises(TypeError, match="seed"):
+            RunConfig()
+
+    def test_target_accuracy_stops_the_run_at_the_first_row_that_reaches_it(self):
+        task = generate_task("modular_add", 49, seed=3)
+        model = AdaptedModel.build(tiny_config(vocab_size=64))
+        run = RunConfig(steps=6, batch_size=8, metrics_every=2, target_acc=0.0, seed=3)
+        log = io.StringIO()
+        train_acc, eval_acc = fit(model, task, run, log)
+        assert model.step == 2
+        assert log.getvalue().count("\n") == 1
+        assert log.getvalue().split(",")[-2:] == [repr(train_acc), repr(eval_acc) + "\n"]
 
 
 class ReferenceAdamW:
