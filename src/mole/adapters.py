@@ -8,19 +8,19 @@ most probable experts per token and fuses their outputs with renormalized
 softmax weights. A switch-style load-balancing loss keeps expert workloads
 equitable.
 
-An adapted matrix runs as one stacked expert product (:func:`stacked_lora`):
-the product of x with all N experts' in-factors stacked, a gate that zeroes
-the experts a token did not select, one product with the out-factors
-stacked, and the frozen product: N * rank * (in + out) per token, whatever
-K. Dropout masks each (token, selection slot) on its own, so two identical
-experts still see different masks; a token's K slots are then K rows of the
-in-product, K * N * rank * in per token. Training, gradient checks and
-inference run this one formula; a recorded forward makes it one graph node
-whose hand-written backward is the same products transposed and also
-differentiates the top-K renormalisation. So an adapted matrix records three
-graph nodes whatever N is: its router's logits, their softmax, and the
-stacked op. The balance loss is one more node per forward, over all routers
-at once. An expert that no token selected gets exact-zero factor gradients.
+An adapted matrix runs as one stacked expert product (:func:`stacked_lora`): x
+times all N experts' in-factors stacked, each token's blocks at its selected
+experts gathered into a weighted gated product, one product with the
+out-factors stacked, and the frozen product: N * rank * (in + out) per token,
+whatever K. Dropout masks each (token, selection slot) on its own, so two
+identical experts still see different masks; a token's K slots are then K rows
+of the in-product, K * N * rank * in per token. Training, gradient checks and
+inference run this one path, which differs only in its slot count and mask; a
+recorded forward is one graph node whose hand-written backward is the same
+products transposed and also differentiates the top-K renormalisation. So an
+adapted matrix records three graph nodes whatever N is: its router's logits,
+their softmax, and the stacked op. An expert no token selected gets exact-zero
+factor gradients.
 
 One reduction, :meth:`GateBatch.tally`, counts a gate's selections for the
 balance loss and for :func:`~mole.analysis.router_stats`. A router does not
@@ -241,15 +241,16 @@ def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[L
     one stacked expert product.
 
     x @ [A_1; ...; A_N].T gives every expert's (tokens, rank) block at once,
-    with A the in-factors; a gate keeps each token's blocks at its selected
-    experts, times weights * scale, and one product with the out-factors
-    [B_1, ..., B_N] sums them onto x @ frozen.T: N * rank * (in + out) per
-    token, whatever K. `dropped` holds the positions dropout zeroes, flat in
-    the (tokens, K, in_dim) layout (:func:`~mole.tensor.dropout_positions`),
-    or None. With it each selection slot sees its own masked x / (1 - rate):
-    the slots are K row blocks of one in-product (K * N * rank * in per
-    token), then one gather of each slot's block at its expert and one
-    scatter of them into the gated product.
+    with A the in-factors; a gather takes each token's blocks at its selected
+    experts, one scatter puts them, times weights * scale, into a gated
+    product that is zero elsewhere, and one product with the out-factors
+    [B_1, ..., B_N] sums them onto x @ frozen.T. `dropped`, the positions
+    dropout zeroes flat in the (tokens, K, in_dim) layout
+    (:func:`~mole.tensor.dropout_positions`) or None, sets only the slot
+    count and the mask. Without it x is the one row block: N * rank *
+    (in + out) per token, whatever K. With it each selection slot sees its
+    own masked x / (1 - rate), one of K row blocks of the in-product
+    (K * N * rank * in per token).
 
     Without `record` the result is a plain tensor. With it the op is one
     graph node whose parents are x, `gate.probs` and every expert's factors.
@@ -272,7 +273,7 @@ def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[L
     block = np.arange(tokens)[:, None] * n + selected  # each slot's expert, flat in (tokens, N)
     scaled = weights * scale
     slots = 1 if dropped is None else k         # row blocks of the in-product
-    at = block if dropped is None else block + np.arange(k) * (tokens * n)  # in (slots tokens N)
+    at = block + np.arange(slots) * (tokens * n)  # each slot's expert, flat in (slots tokens N)
     keep = x.dtype.type(1.0 / (1.0 - rate))
 
     def slot_rows(rows: np.ndarray) -> np.ndarray:
@@ -282,23 +283,18 @@ def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[L
             rows.reshape(-1)[dropped] = 0.0
         return rows.reshape(tokens, slots, -1).transpose(1, 0, 2)
 
+    def x_rows() -> np.ndarray:
+        """x once per slot as (slots, tokens, in), masked; without a mask, x itself."""
+        return slot_rows(x.data if dropped is None else np.repeat(x.data, k, axis=0))
+
     def scatter(blocks: np.ndarray, where: np.ndarray, size: int) -> np.ndarray:
         spread = np.zeros((size, rank), dtype=x.dtype)
         spread[where] = blocks * scaled[:, :, None]
         return spread
 
-    if dropped is None:
-        dense = np.zeros((tokens, n), dtype=x.dtype)
-        dense.reshape(-1)[block] = scaled
-        low = (x.data @ stacked_in.T).reshape(tokens, n, rank)
-        picked = low.reshape(-1, rank).take(block, axis=0) if record else None  # (tokens, K, r)
-        low *= dense[:, :, None]
-        gated = low.reshape(tokens, n * rank)
-    else:
-        low = slot_rows(np.repeat(x.data, k, axis=0)) @ stacked_in.T  # (K, tokens, N r)
-        picked = low.reshape(-1, rank).take(at, axis=0)
-        gated = scatter(picked, block, tokens * n).reshape(tokens, n * rank)
-    out = gated @ stacked_out.T
+    # each slot's block at its expert (tokens, K, r), freeing the in-product before the scatter
+    picked = (x_rows() @ stacked_in.T).reshape(-1, rank).take(at, axis=0)
+    out = scatter(picked, block, tokens * n).reshape(tokens, n * rank) @ stacked_out.T
     out += x.data @ frozen.T
     if not record:
         return Tensor(out)
@@ -309,7 +305,7 @@ def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[L
         h_picked = h.reshape(-1, rank).take(block, axis=0)
         dw = np.einsum("tsr,tsr->ts", h_picked, picked)             # d loss / d weights
         dlow = scatter(h_picked, at, slots * tokens * n).reshape(slots, tokens, n * rank)
-        d_in = (dlow.transpose(0, 2, 1) @ slot_rows(np.repeat(x.data, slots, axis=0))).sum(axis=0)
+        d_in = (dlow.transpose(0, 2, 1) @ x_rows()).sum(axis=0)
         for i, e in enumerate(experts):
             e.out_factor._accumulate(d_out[:, i * rank:(i + 1) * rank])
             e.in_factor._accumulate(d_in[i * rank:(i + 1) * rank])
@@ -344,9 +340,9 @@ class AdaptedLinear:
     For tokens x the output is x @ frozen.T plus, for each token and each of
     its K selected experts i, the expert's renormalised weight times
     (alpha / rank) * dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors
-    and B the out-factors. The whole formula is one op,
-    :func:`stacked_lora`: two stacked expert products whose work is
-    O(N * rank) per token, O(K * N * rank) on the in-path under dropout. A
+    and B the out-factors. The whole formula is one op, :func:`stacked_lora`,
+    one path with and without dropout: two stacked expert products whose work
+    is O(N * rank) per token, O(K * N * rank) on the in-path under dropout. A
     recorded forward records three graph nodes (router logits, softmax,
     stacked op) whatever the expert count.
     """

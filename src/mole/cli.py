@@ -1,11 +1,12 @@
 """Command-line entry point: params, train, continual, analyze.
 
 Each command parses its flags and config file into the library's configs,
-calls the library (`mole.model.fit` trains) and writes the files.
-Every run is fully determined by its configuration (seed included); artifacts
-land in a directory named by the hash of that configuration, so rerunning a
-command reproduces its outputs byte for byte. Exit codes: 0 success, 1 usage
-or configuration error, 2 runtime failure.
+calls the library (`mole.model.fit` trains) and writes the files. Every run is
+fully determined by its configuration (seed included) and the BLAS thread
+count, which the configuration does not record; artifacts land in a directory
+named by the hash of the configuration, so rerunning a command at the same
+thread count reproduces its outputs byte for byte. Exit codes: 0 success, 1
+usage or configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -275,15 +276,17 @@ def cmd_continual(args) -> int:
 def cmd_analyze(args) -> int:
     if not args.checkpoint and not args.matrix:
         raise UsageError("analyze needs --checkpoint and/or --matrix")
-    model = None
-    examples = None
-    matrix = None
+    if args.dataset is not None and not args.checkpoint:
+        raise UsageError("--dataset needs --checkpoint: it picks the prompts the model gates")
+    if args.seed is not None and args.dataset is None:
+        raise UsageError("--seed needs --dataset: it seeds the generated prompts")
+    model = examples = matrix = None
     if args.checkpoint:
         ckpt = Path(args.checkpoint)
         if not ckpt.exists():
             raise UsageError(f"checkpoint not found: {ckpt}")
         model = load(ckpt)
-        if args.dataset:
+        if args.dataset is not None:
             # prompts are cut as a run with this max_seq_len cut them
             examples = _load_dataset(RunConfig(
                 dataset=args.dataset,

@@ -341,7 +341,7 @@ class TestLoadBalanceLoss:
 def test_full_adapted_layer_grad_check(num_experts, k):
     """Adapter-path loss (frozen product + gated expert sum + cross entropy),
     checked against central finite differences in 64-bit, input included.
-    (2, 2) routes every token to every expert, the no-gather path."""
+    (2, 2) routes every token to every expert, so the gather takes every block."""
     from mole.tensor import grad_check
 
     layer = make_layer(5, 4, num_experts=num_experts, k=k, rank=2, seed=71, dropout_rate=0.1)
@@ -379,8 +379,8 @@ def mutated_stacked_lora(old: str, new: str):
     ("for d_slot in slot_rows(d_rows):",
      "for d_slot in d_rows.reshape(tokens, slots, -1).transpose(1, 0, 2):"),
     # the 1/(1-rate) scale left off the in-factor gradient
-    ("slot_rows(np.repeat(x.data, slots, axis=0))",
-     "slot_rows(np.repeat(x.data, slots, axis=0) / keep)"),
+    ("dlow.transpose(0, 2, 1) @ x_rows()",
+     "dlow.transpose(0, 2, 1) @ (x_rows() / keep)"),
 ], ids=["real-op", "unmasked-input-grad", "unscaled-in-factor-grad"])
 def test_grad_check_catches_a_wrong_dropout_backward(monkeypatch, mutation):
     """At (N, K) = (3, 2) and rate 0.5 the f64 grad check passes the op as

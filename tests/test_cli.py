@@ -402,6 +402,27 @@ class TestAnalyze:
     def test_needs_some_input(self, capsys):
         assert run_cli("analyze") == 1
 
+    def test_dataset_without_checkpoint_is_usage_error(self, tmp_path, capsys):
+        """A dataset only feeds the checkpoint's routers, so with a matrix
+        alone it would be dropped; the run stops instead and names it."""
+        path = tmp_path / "matrix.csv"
+        AccuracyMatrix.from_rows(matrix_rows("lora"), DOMAINS).to_csv(path)
+        assert run_cli("analyze", "--matrix", str(path), "--dataset", "nonsense") == 1
+        captured = capsys.readouterr()
+        assert "--dataset needs --checkpoint" in captured.err and captured.out == ""
+
+    def test_empty_dataset_is_usage_error(self, init_ckpt, capsys):
+        capsys.readouterr()
+        assert run_cli("analyze", "--checkpoint", str(init_ckpt), "--dataset", "") == 1
+        captured = capsys.readouterr()
+        assert "unknown dataset spec ''" in captured.err and captured.out == ""
+
+    def test_seed_without_dataset_is_usage_error(self, init_ckpt, capsys):
+        capsys.readouterr()
+        assert run_cli("analyze", "--checkpoint", str(init_ckpt), "--seed", "3") == 1
+        captured = capsys.readouterr()
+        assert "--seed needs --dataset" in captured.err and captured.out == ""
+
     def test_missing_matrix_clean_error(self, tmp_path, capsys):
         assert run_cli("analyze", "--matrix", str(tmp_path / "no.csv")) == 1
         assert "matrix file not found" in capsys.readouterr().err

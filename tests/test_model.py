@@ -633,6 +633,23 @@ class TestInference:
         assert 0 < correct < len(examples)
         assert evaluate(model, examples) == correct / len(examples)
 
+    @pytest.mark.parametrize("corpus", ["copy-25", "mixed-length"])
+    @pytest.mark.parametrize("alloc", ["counts=2,2,2,2", "inverted:2468"])
+    def test_graph_free_last_row_logits_equal_the_recorded_ones(self, alloc, corpus):
+        """At the CLI dims the last block's 25-row products take OpenBLAS's
+        small-matrix path, which the toy-size layer tests never reach."""
+        model = AdaptedModel(ToyTransformerConfig(
+            allocation=parse_alloc_spec(alloc, 4, k=2), seed=66))
+        randomize_adapters(model, 67, std=0.1)
+        examples = generate_task("copy", 32, seed=68).train[:25] if corpus == "copy-25" \
+            else mixed_length_corpus(12, seed=69)
+        groups = list(length_batches(examples))
+        assert len(groups) == (1 if corpus == "copy-25" else 4)
+        for _, ids in groups:
+            recorded = model.forward(ids, last_row=True).logits.data
+            np.testing.assert_array_equal(
+                model.forward(ids, record=False, last_row=True).logits.data, recorded)
+
     @pytest.mark.parametrize("last_row", [False, True])
     def test_inference_forward_records_no_graph(self, last_row):
         model = self.inverted_model(62)
