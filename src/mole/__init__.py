@@ -7,15 +7,7 @@ learning harnesses, and expert-redundancy / router-utilization / forgetting
 analyses.
 """
 
-from .adapters import (
-    AdaptedLinear,
-    LoraExpert,
-    Router,
-    RoutingOutcome,
-    adapted_forward,
-    expert_delta,
-    load_balance_loss,
-)
+from .adapters import AdaptedLinear, GateBatch, LoraExpert, Router, balance_loss_tensor
 from .allocation import (
     AllocationPlan,
     ModelDims,
@@ -50,10 +42,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyMatrix", "AdamW", "AdaptedLinear", "AdaptedModel", "AllocationPlan",
-    "Example", "LoraExpert", "ModelDims", "Rng", "Router", "RoutingOutcome", "RunConfig",
+    "Example", "GateBatch", "LoraExpert", "ModelDims", "Rng", "Router", "RunConfig",
     "TaskData", "Tensor", "ToyTransformerConfig", "TrainingDiverged",
-    "adapted_forward", "evaluate", "expert_delta", "fit", "generate_domain_sequence",
-    "generate_task", "grad_check", "load", "load_balance_loss", "load_jsonl",
+    "balance_loss_tensor", "evaluate", "fit", "generate_domain_sequence",
+    "generate_task", "grad_check", "load", "load_jsonl",
     "overall_performance", "parse_alloc_spec", "performance_drop",
     "plan_from_shape", "redundancy", "redundancy_report", "router_stats",
     "save", "trainable_param_count", "train_step", "validate",

@@ -22,9 +22,12 @@ adapted matrix records three graph nodes whatever N is: its router's logits,
 their softmax, and the stacked op. An expert no token selected gets exact-zero
 factor gradients.
 
-One reduction, :meth:`GateBatch.tally`, counts a gate's selections for the
-balance loss and for :func:`~mole.analysis.router_stats`. A router does not
-know its layer or matrix; the model's forward hook names them on a failure.
+Every entry point takes a token batch, and a single token is a one-row batch:
+``router.gate(Tensor(x[None]))``, ``layer.forward(Tensor(x[None]))``. One
+reduction, :meth:`GateBatch.tally`, counts a gate's selections for the
+balance loss (:func:`balance_loss_tensor`) and for
+:func:`~mole.analysis.router_stats`. A router does not know its layer or
+matrix; the model's forward hook names them on a failure.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ class GateBatch:
     and `weights` (tokens, K) their probabilities renormalised to sum to one;
     `probs` is the dense (tokens, num_experts) softmax. Only `probs` is in the
     autodiff graph: `weights` is a plain array, and :func:`stacked_lora` sends
-    its gradient through the renormalisation to `probs`.
+    its gradient through the renormalisation to `probs`. A single token's
+    decision is row 0 of a one-row batch.
     """
 
     selected: np.ndarray
@@ -62,84 +66,44 @@ class GateBatch:
         return (np.bincount(picks, minlength=n),
                 np.bincount(picks, weights=self.weights.reshape(-1), minlength=n))
 
-    def outcome(self, token: int) -> "RoutingOutcome":
-        return RoutingOutcome(selected=tuple(int(i) for i in self.selected[token]),
-                              weights=self.weights[token].copy(),
-                              full_softmax=self.probs.data[token].copy())
-
-    def outcomes(self) -> list["RoutingOutcome"]:
-        return [self.outcome(t) for t in range(self.selected.shape[0])]
-
-
-@dataclass(frozen=True)
-class RoutingOutcome:
-    """Routing decision for one token: which experts fire and at what weight.
-
-    `selected` holds exactly K distinct expert indices in ascending order;
-    `weights` are their fusion weights (positive, summing to 1); and
-    `full_softmax` keeps the probabilities over all experts for the balance
-    loss and the utilization statistics.
-    """
-
-    selected: tuple[int, ...]
-    weights: np.ndarray
-    full_softmax: np.ndarray
-
 
 class LoraExpert:
-    """One low-rank adapter: out_factor (out_dim x rank) @ in_factor (rank x in_dim).
+    """One low-rank adapter's factors: out_factor (out_dim x rank) and
+    in_factor (rank x in_dim).
 
-    The update applied to a token x is (alpha / rank) * out_factor @ in_factor @ x,
-    with dropout on x on this adapter path only. in_factor starts at zero, so a
-    freshly initialized expert contributes nothing.
+    An expert holds its factors and nothing else: the scale alpha / rank and
+    the dropout rate are its adapted matrix's (:class:`AdaptedLinear`), the
+    same for every expert there. in_factor starts at zero, so a freshly
+    initialized expert contributes nothing.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rank: int, *, alpha: float = 16.0,
-                 dropout_rate: float = 0.05, rng: Rng | None = None, dtype=np.float64):
+    def __init__(self, in_dim: int, out_dim: int, rank: int, *, rng: Rng | None = None,
+                 dtype=np.float64):
         if rank < 1 or rank >= min(in_dim, out_dim):
             raise ValueError(f"rank must satisfy 1 <= rank < min({in_dim}, {out_dim}), got {rank}")
-        if not 0.0 <= dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.rank = rank
-        self.alpha = float(alpha)
-        self.dropout_rate = float(dropout_rate)
         init = rng.normal((out_dim, rank), std=EXPERT_INIT_STD, dtype=dtype) \
             if rng is not None else np.zeros((out_dim, rank), dtype=dtype)
         self.out_factor = Tensor(init, requires_grad=True)
         self.in_factor = Tensor(np.zeros((rank, in_dim), dtype=dtype), requires_grad=True)
 
     @classmethod
-    def from_factors(cls, out_factor, in_factor, *, alpha: float = 1.0,
-                     dropout_rate: float = 0.0) -> "LoraExpert":
+    def from_factors(cls, out_factor, in_factor) -> "LoraExpert":
         """Build an expert from explicit factor matrices (mostly for tests)."""
         a = np.asarray(out_factor, dtype=np.float64)
         b = np.asarray(in_factor, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError(f"factor shapes disagree: {a.shape} x {b.shape}")
-        expert = cls(b.shape[1], a.shape[0], a.shape[1], alpha=alpha, dropout_rate=dropout_rate)
+        expert = cls(b.shape[1], a.shape[0], a.shape[1])
         expert.out_factor = Tensor(a, requires_grad=True)
         expert.in_factor = Tensor(b, requires_grad=True)
         return expert
 
-    @property
-    def scaling(self) -> float:
-        return self.alpha / self.rank
-
     def effective_delta(self) -> np.ndarray:
         """The dense (out_dim, in_dim) update this expert encodes, unscaled."""
         return self.out_factor.data @ self.in_factor.data
-
-
-def expert_delta(expert: LoraExpert, x) -> np.ndarray:
-    """Apply one expert's scaled update to a single token vector."""
-    vec = np.asarray(x, dtype=expert.in_factor.dtype)
-    if vec.shape != (expert.in_dim,):
-        raise ValueError(f"expected input of shape ({expert.in_dim},), got {vec.shape}")
-    return expert.scaling * (expert.out_factor.data @ (expert.in_factor.data @ vec))
 
 
 class Router:
@@ -179,42 +143,22 @@ class Router:
         kept = probs.data[np.arange(len(selected))[:, None], selected]
         return GateBatch(selected, kept / kept.sum(axis=-1, keepdims=True), probs)
 
-    def route(self, x) -> RoutingOutcome:
-        """Route a single token vector and report the decision."""
-        vec = np.asarray(x, dtype=self.weight.dtype)
-        if vec.shape != (self.in_dim,):
-            raise ValueError(f"expected input of shape ({self.in_dim},), got {vec.shape}")
-        if not np.isfinite(vec).all():
-            raise ValueError("routing input contains non-finite entries")
-        return self.gate(Tensor(vec[None, :])).outcome(0)
-
-
-def load_balance_loss(outcomes: list[RoutingOutcome]) -> float:
-    """Switch-style balance loss over a batch of routing decisions.
-
-    With N experts, T tokens, and K selections per token this is
-    N * sum_i f_i * P_i, where f_i is expert i's share of the T*K selection
-    slots and P_i is its mean softmax probability. Perfectly uniform routing
-    scores exactly 1; concentration raises it.
-    """
-    if not outcomes:
-        raise ValueError("load_balance_loss needs at least one routing outcome")
-    gate = GateBatch(np.array([o.selected for o in outcomes]),
-                     np.array([o.weights for o in outcomes]),
-                     Tensor(np.stack([o.full_softmax for o in outcomes])))
-    return balance_loss_tensor([gate]).item()
-
 
 def balance_loss_tensor(gates: list[GateBatch]) -> Tensor:
-    """Differentiable twin of :func:`load_balance_loss`: the mean over the R
-    routers of `gates` of each one's N * sum_i f_i * P_i, as one op, so a
-    forward records one balance node.
+    """Switch-style balance loss: the mean over the R routers of `gates` of
+    each one's N * sum_i f_i * P_i, as one op, so a forward records one
+    balance node.
 
-    The dispatch fractions f are constants (selection is discrete); gradient
+    With N experts, T tokens and K selections per token, f_i is expert i's
+    share of the T*K selection slots and P_i its mean softmax probability.
+    Perfectly uniform routing scores exactly 1; concentration raises it. The
+    dispatch fractions f are constants (selection is discrete); gradient
     flows through the mean probabilities only, so each probability p[t, i] of
     a router with N experts and T tokens receives N * f_i / (T * R), reaching
     every expert column of the router weight.
     """
+    if not gates:
+        raise ValueError("balance_loss_tensor needs at least one gate")
     share = 1.0 / len(gates)
     total, coefs = 0.0, []
     for gate in gates:
@@ -333,13 +277,13 @@ class AdaptedLinear:
     """A frozen linear map plus routed low-rank expert updates.
 
     The frozen weight is (out_dim, in_dim) and never receives gradients. All
-    experts share the frozen matrix's dimensions, rank, alpha and dropout
-    rate; the router consumes the same activation vector that feeds the frozen
-    matrix.
+    experts share the frozen matrix's dimensions and one rank; the matrix
+    keeps `alpha` once, as `scale` = alpha / rank, and its `dropout_rate`. The
+    router consumes the same activation rows that feed the frozen matrix.
 
     For tokens x the output is x @ frozen.T plus, for each token and each of
     its K selected experts i, the expert's renormalised weight times
-    (alpha / rank) * dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors
+    scale * dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors
     and B the out-factors. The whole formula is one op, :func:`stacked_lora`,
     one path with and without dropout: two stacked expert products whose work
     is O(N * rank) per token, O(K * N * rank) on the in-path under dropout. A
@@ -348,7 +292,7 @@ class AdaptedLinear:
     """
 
     def __init__(self, frozen_weight: np.ndarray, experts: list[LoraExpert],
-                 router: Router):
+                 router: Router, *, alpha: float, dropout_rate: float):
         w0 = np.asarray(frozen_weight)
         if w0.ndim != 2:
             raise ValueError(f"frozen weight must be 2-d, got shape {w0.shape}")
@@ -357,10 +301,13 @@ class AdaptedLinear:
             if (e.in_dim, e.out_dim) != (in_dim, out_dim):
                 raise ValueError(
                     f"expert dims ({e.in_dim}, {e.out_dim}) disagree with frozen ({in_dim}, {out_dim})")
-        shared = {(e.rank, e.alpha, e.dropout_rate) for e in experts}
-        if len(shared) > 1:
-            raise ValueError(
-                f"experts must share one (rank, alpha, dropout_rate), got {sorted(shared)}")
+        ranks = {e.rank for e in experts}
+        if len(ranks) > 1:
+            raise ValueError(f"experts must share one rank, got {sorted(ranks)}")
+        if not 0.0 < alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        if not 0.0 <= dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
         if router.num_experts != len(experts):
             raise ValueError(f"router expects {router.num_experts} experts, got {len(experts)}")
         if router.in_dim != in_dim:
@@ -370,6 +317,8 @@ class AdaptedLinear:
         self.router = router
         self.in_dim = in_dim
         self.out_dim = out_dim
+        self.scale = float(alpha) / experts[0].rank
+        self.dropout_rate = float(dropout_rate)
 
     def forward(self, x: Tensor, rng: Rng | None = None,
                 record: bool = True) -> tuple[Tensor, GateBatch]:
@@ -385,11 +334,10 @@ class AdaptedLinear:
         bit.
         """
         gate = self.router.gate(x, record)
-        first = self.experts[0]
         dropped = dropout_positions((x.shape[0], self.router.k, self.in_dim),
-                                    first.dropout_rate, rng)
+                                    self.dropout_rate, rng)
         return stacked_lora(x, self.frozen.data, gate, self.experts, dropped,
-                            first.dropout_rate, first.scaling, record), gate
+                            self.dropout_rate, self.scale, record), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         params = {f"{prefix}frozen": self.frozen, f"{prefix}router": self.router.weight}
@@ -397,13 +345,3 @@ class AdaptedLinear:
             params[f"{prefix}expert{i}.out_factor"] = e.out_factor
             params[f"{prefix}expert{i}.in_factor"] = e.in_factor
         return params
-
-
-def adapted_forward(layer: AdaptedLinear, x, rng: Rng | None = None
-                    ) -> tuple[np.ndarray, RoutingOutcome]:
-    """Single-vector convenience: apply `layer` to one token, with its routing."""
-    vec = np.asarray(x, dtype=layer.frozen.dtype)
-    if vec.shape != (layer.in_dim,):
-        raise ValueError(f"expected input of shape ({layer.in_dim},), got {vec.shape}")
-    out, gate = layer.forward(Tensor(vec[None, :]), rng=rng)
-    return out.data[0], gate.outcome(0)

@@ -280,6 +280,8 @@ def cmd_analyze(args) -> int:
         raise UsageError("--dataset needs --checkpoint: it picks the prompts the model gates")
     if args.seed is not None and args.dataset is None:
         raise UsageError("--seed needs --dataset: it seeds the generated prompts")
+    if args.format == "csv" and not args.out:
+        raise UsageError("csv output needs --out PATH")
     model = examples = matrix = None
     if args.checkpoint:
         ckpt = Path(args.checkpoint)
@@ -301,8 +303,6 @@ def cmd_analyze(args) -> int:
         emit_report(report, args.format, args.out)
         print(f"report {args.out}")
     else:
-        if args.format == "csv":
-            raise UsageError("csv output needs --out PATH")
         sys.stdout.write(dumps_report(report))
     return 0
 

@@ -36,6 +36,13 @@ class TrainingDiverged(RuntimeError):
     """Raised when a training step produces a non-finite loss."""
 
 
+def _require_finite(config, *keys: str) -> None:
+    """Reject a nan or infinite setting by name: it would pass every range check."""
+    for key in keys:
+        if not np.isfinite(getattr(config, key)):
+            raise ValueError(f"{key} must be finite, got {getattr(config, key)}")
+
+
 @dataclass
 class ToyTransformerConfig:
     """Everything needed to build the toy model, seed included."""
@@ -55,6 +62,7 @@ class ToyTransformerConfig:
     precision: str = "f64"
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "dropout", "lambda_aux")
         for key, low in (("num_heads", 1), ("vocab_size", 1), ("max_seq_len", 1),
                          ("lambda_aux", 0)):
             if getattr(self, key) < low:
@@ -120,14 +128,14 @@ class Block:
             in_dim, out_dim = shapes[tag]
             w0 = rng.child("w0", tag).normal((out_dim, in_dim),
                                              std=1.0 / np.sqrt(in_dim), dtype=dtype)
-            experts = [LoraExpert(in_dim, out_dim, config.rank, alpha=config.alpha,
-                                  dropout_rate=config.dropout,
+            experts = [LoraExpert(in_dim, out_dim, config.rank,
                                   rng=rng.child("expert", tag, i) if draw_adapters else None,
                                   dtype=dtype)
                        for i in range(n)]
             router = Router(in_dim, n, k, rng=rng.child("router", tag) if draw_adapters else None,
                             dtype=dtype)
-            self.adapted[tag] = AdaptedLinear(w0, experts, router)
+            self.adapted[tag] = AdaptedLinear(w0, experts, router, alpha=config.alpha,
+                                              dropout_rate=config.dropout)
 
     def forward(self, x: Tensor, mask: np.ndarray, apply,
                 last: np.ndarray | None = None) -> Tensor:
@@ -330,6 +338,7 @@ class RunConfig:
     seed: int = field(kw_only=True)
 
     def __post_init__(self):
+        _require_finite(self, "lr", "weight_decay")
         for key, low in (("batch_size", 1), ("metrics_every", 1), ("cutoff_len", 1),
                          ("steps", 0), ("epochs", 0), ("lr", 0), ("weight_decay", 0)):
             value = getattr(self, key)
@@ -446,8 +455,8 @@ def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
         ce += share * float(group_ce.data)
         aux += share * float(result.aux_loss.data)
     if not np.isfinite(total.data):
-        # softmax rejects non-finite router probabilities, so the balance
-        # loss is finite here and only the cross-entropy can have diverged
+        # softmax rejects non-finite router probabilities and the config a
+        # non-finite lambda_aux, so only the cross-entropy can have diverged
         raise TrainingDiverged(
             f"non-finite loss at step {model.step}: cross-entropy is non-finite")
     optimizer.zero_grad()

@@ -15,7 +15,6 @@ import pytest
 
 from conftest import note
 from golden_tables import DOMAINS, EXPECTED, TABLES, matrix_rows
-from mole.adapters import RoutingOutcome, load_balance_loss
 from mole.allocation import AllocationPlan, plan_from_shape, trainable_param_count
 from mole.allocation import DIMS_PRESETS
 from mole.analysis import (
@@ -34,8 +33,8 @@ from mole.checkpoint import (
 )
 from mole.cli import main as cli_main
 from mole.model import AdaptedModel, ToyTransformerConfig
-from mole.tensor import Rng, cross_entropy, grad_check, take_rows
-from test_adapters import brute_force_top_k, make_router, softmax_np
+from mole.tensor import Rng, Tensor, cross_entropy, grad_check, take_rows
+from test_adapters import brute_force_top_k, make_router, softmax_np, top1_balance_loss
 from test_analysis import set_expert
 
 PAPER_PLANS = {"8642": "triangle", "2468": "inverted_triangle",
@@ -135,17 +134,18 @@ def test_routing_invariants_and_oracle():
             router = make_router(n, k, seed=100 * n + k, in_dim=5)
             shifted = make_router(n, k, seed=100 * n + k, in_dim=5)
             shifted.weight.data += 3.75  # uniform logit shift
-            for _ in range(1000 // 6 + 1):
-                x = rng.normal((5,), std=1.5)
-                outcome = router.route(x)
-                assert len(outcome.selected) == k
-                assert len(set(outcome.selected)) == k
-                assert abs(sum(outcome.weights) - 1.0) <= 1e-12
-                probs = softmax_np(x @ router.weight.data)
+            x = rng.normal((1000 // 6 + 1, 5), std=1.5)
+            gate = router.gate(Tensor(x))  # one call per router, a row per trial
+            np.testing.assert_array_equal(shifted.gate(Tensor(x)).selected, gate.selected)
+            for t in range(len(x)):
+                selected = tuple(gate.selected[t].tolist())
+                assert len(selected) == k
+                assert len(set(selected)) == k
+                assert abs(gate.weights[t].sum() - 1.0) <= 1e-12
+                probs = softmax_np(x[t] @ router.weight.data)
                 idx, weights = brute_force_top_k(probs, k)
-                assert outcome.selected == idx
-                np.testing.assert_allclose(outcome.weights, weights, atol=1e-12)
-                assert shifted.route(x).selected == outcome.selected
+                assert selected == idx
+                np.testing.assert_allclose(gate.weights[t], weights, atol=1e-12)
                 trials += 1
     note(5, f"{trials} randomized routing trials against the subset-enumeration oracle")
     assert trials >= 1000
@@ -156,17 +156,11 @@ def test_routing_invariants_and_oracle():
 
 @pytest.mark.criterion(6, "load-balance loss behavior")
 def test_load_balance_uniform_and_minimum():
-    def outcome(expert, probs):
-        return RoutingOutcome((expert,), np.ones(1), np.asarray(probs, dtype=np.float64))
-
-    uniform = [outcome(0, [0.5, 0.5]), outcome(1, [0.5, 0.5])] * 2
-    assert load_balance_loss(uniform) == pytest.approx(1.0, abs=1e-9)
+    assert top1_balance_loss([0, 1] * 2, [[0.5, 0.5]] * 4) == pytest.approx(1.0, abs=1e-9)
 
     for tokens in (2, 4):  # uniform assignment exists when N divides T
-        losses = {}
-        for assignment in itertools.product(range(2), repeat=tokens):
-            outcomes = [outcome(a, np.eye(2)[a]) for a in assignment]
-            losses[assignment] = load_balance_loss(outcomes)
+        losses = {assignment: top1_balance_loss(assignment, np.eye(2)[list(assignment)])
+                  for assignment in itertools.product(range(2), repeat=tokens)}
         balanced = tuple(i % 2 for i in range(tokens))
         assert losses[balanced] == pytest.approx(1.0, abs=1e-9)
         for assignment, value in losses.items():
@@ -175,8 +169,7 @@ def test_load_balance_uniform_and_minimum():
                 assert value > losses[balanced] + 1e-9
     for tokens in (1, 3):  # odd token counts: loss still bounded below by 1
         for assignment in itertools.product(range(2), repeat=tokens):
-            outcomes = [outcome(a, np.eye(2)[a]) for a in assignment]
-            assert load_balance_loss(outcomes) >= 1.0 - 1e-9
+            assert top1_balance_loss(assignment, np.eye(2)[list(assignment)]) >= 1.0 - 1e-9
 
 
 # -- 7. desk-scale training ------------------------------------------------------------
@@ -256,7 +249,7 @@ def test_redundancy_properties():
     pair = AdaptedLinear(np.zeros((2, 2)),
                          [LoraExpert.from_factors([[1.0], [0.0]], [[1.0, 0.0]]),
                           LoraExpert.from_factors([[0.0], [1.0]], [[0.0, 1.0]])],
-                         Router(2, 2, 1))
+                         Router(2, 2, 1), alpha=1.0, dropout_rate=0.0)
     assert mean_pairwise_distance(pair) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     # three experts: mean over exactly the three pairs, vs a double-loop oracle

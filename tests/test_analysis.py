@@ -122,7 +122,8 @@ class TestRedundancy:
         a = LoraExpert.from_factors([[1.0], [0.0]], [[1.0, 0.0]])
         b = LoraExpert.from_factors([[0.0], [1.0]], [[0.0, 1.0]])
         from mole.adapters import AdaptedLinear, Router
-        layer = AdaptedLinear(np.zeros((2, 2)), [a, b], Router(2, 2, 1))
+        layer = AdaptedLinear(np.zeros((2, 2)), [a, b], Router(2, 2, 1), alpha=1.0,
+                              dropout_rate=0.0)
         assert mean_pairwise_distance(layer) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_three_experts_mean_over_three_pairs(self):

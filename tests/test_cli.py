@@ -142,13 +142,16 @@ class TestTrain:
                                             ("dropout", "-0.1"), ("alpha", "0"),
                                             ("num_heads", "0"), ("num_heads", "-1"),
                                             ("vocab_size", "0"), ("max_seq_len", "0"),
-                                            ("vocab_size", "48")])
+                                            ("vocab_size", "48"), ("lr", "nan"),
+                                            ("weight_decay", "inf"), ("alpha", "inf"),
+                                            ("alpha", "nan"), ("lambda_aux", "inf"),
+                                            ("dropout", "nan")])
     def test_non_positive_run_lengths_rejected(self, tmp_path, capsys, source, key, value):
         # out-of-range run lengths, lr_decay outside [0, 1], negative learning
         # settings, model sizes below 1, a vocabulary that misses a dataset
-        # token (modular_add uses ids 43 to 61) and adapter settings the model
-        # rejects all fail before the run directory exists, from a flag or a
-        # config file
+        # token (modular_add uses ids 43 to 61), adapter settings the model
+        # rejects and nan or infinite settings, which pass every range check,
+        # all fail before the run directory exists, from a flag or a config file
         flag = "--" + key.replace("_", "-")
         argv = train_args(tmp_path)
         if flag in argv:
@@ -433,6 +436,12 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "csv output needs --out" in captured.err and captured.out == ""
 
+    def test_csv_without_out_is_refused_before_the_checkpoint_is_read(self, tmp_path, capsys):
+        assert run_cli("analyze", "--checkpoint", str(tmp_path / "no.ckpt"),
+                       "--format", "csv") == 1
+        captured = capsys.readouterr()
+        assert "csv output needs --out" in captured.err and captured.out == ""
+
     def test_header_of_the_wrong_shape_is_runtime_failure(self, init_ckpt, capsys):
         # valid JSON that is not a header object: a CorruptHeaderError, no traceback
         raw = init_ckpt.read_bytes()
@@ -544,7 +553,9 @@ class TestContinual:
 
     @pytest.mark.parametrize("key, value", [("dropout", "1.5"), ("alpha", "0"), ("lr", "-1"),
                                             ("num_heads", "0"), ("max_seq_len", "0"),
-                                            ("vocab_size", "64")])
+                                            ("vocab_size", "64"), ("lr", "nan"),
+                                            ("weight_decay", "inf"), ("alpha", "inf"),
+                                            ("lambda_aux", "inf")])
     def test_bad_settings_rejected_before_the_run_directory(self, tmp_path, capsys, key, value):
         assert run_cli("continual", "--domains", "2", "--domain-size", "40", "--steps", "2",
                        "--seed", "7", "--out", str(tmp_path / "c"),

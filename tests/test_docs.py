@@ -1,4 +1,5 @@
-"""The README's library sketch runs, and trains as the command it names."""
+"""The README's library sketch runs, and trains as the command it names; the
+package's public names all resolve."""
 
 import re
 from pathlib import Path
@@ -24,3 +25,15 @@ def test_library_sketch_prints_what_mole_train_prints(tmp_path, capsys):
     cli = capsys.readouterr().out.splitlines()
     assert sketch.splitlines() == [line for line in cli if "accuracy" in line]
     assert len(sketch.splitlines()) == 2
+
+
+def test_public_names_resolve():
+    """Every name in `mole.__all__` exists, no name is listed twice, and
+    `from mole import *` runs, so a deleted name left in the list fails here."""
+    import mole
+
+    assert len(mole.__all__) == len(set(mole.__all__))
+    assert [name for name in mole.__all__ if not hasattr(mole, name)] == []
+    namespace = {}
+    exec("from mole import *", namespace)
+    assert set(mole.__all__) <= set(namespace)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mole.adapters import load_balance_loss
+from mole.adapters import balance_loss_tensor
 from mole.allocation import AllocationPlan, parse_alloc_spec, trainable_param_count
 from mole.checkpoint import load
 from mole.cli import main
@@ -75,7 +75,7 @@ def ref_adapted(layer, X):
         y = layer.frozen.data @ x
         for i in best:
             e = layer.experts[i]
-            y = y + (probs[i] / total) * e.scaling * (
+            y = y + (probs[i] / total) * layer.scale * (
                 e.out_factor.data @ (e.in_factor.data @ x))
         out[t] = y
     return out
@@ -210,7 +210,7 @@ class TestForward:
         model = AdaptedModel.build(tiny_config(allocation=AllocationPlan((2, 3), k=1), seed=14))
         randomize_adapters(model, 15)
         result = model.forward([[4, 9, 1, 30], [7, 7, 2, 11]])
-        per_router = [load_balance_loss(gate.outcomes()) for gate in result.gates.values()]
+        per_router = [balance_loss_tensor([gate]).item() for gate in result.gates.values()]
         assert result.aux_loss.item() == pytest.approx(np.mean(per_router), abs=1e-12)
 
 
@@ -369,7 +369,12 @@ class TestFit:
         # named before the divisibility check
         (ToyTransformerConfig, "num_heads", 0), (ToyTransformerConfig, "num_heads", -1),
         (ToyTransformerConfig, "vocab_size", 0), (ToyTransformerConfig, "max_seq_len", 0),
-        (ToyTransformerConfig, "lambda_aux", -0.01)])
+        (ToyTransformerConfig, "lambda_aux", -0.01),
+        # nan and infinity pass every range check, so they are named apart
+        (RunConfig, "lr", float("nan")), (RunConfig, "weight_decay", float("inf")),
+        (ToyTransformerConfig, "alpha", float("inf")),
+        (ToyTransformerConfig, "dropout", float("nan")),
+        (ToyTransformerConfig, "lambda_aux", float("inf"))])
     def test_configs_reject_out_of_range_values(self, config, key, value):
         with pytest.raises(ValueError, match=key):
             config(seed=0, **{key: value})
