@@ -1,12 +1,13 @@
 """Command-line entry point: params, train, continual, analyze.
 
 Each command parses its flags and config file into the library's configs,
-calls the library (`mole.model.fit` trains) and writes the files. Every run is
-fully determined by its configuration (seed included) and the BLAS thread
-count, which the configuration does not record; artifacts land in a directory
-named by the hash of the configuration, so rerunning a command at the same
-thread count reproduces its outputs byte for byte. Exit codes: 0 success, 1
-usage or configuration error, 2 runtime failure.
+calls the library (`mole.model.fit` trains) and writes the files; only the
+command that reads a key takes it (`train`'s data keys, `continual`'s domain
+keys). Every run is fully determined by its configuration (seed included) and
+the BLAS thread count, which the configuration does not record; artifacts land
+in a directory named by the hash of the configuration, so rerunning a command
+at the same thread count reproduces its outputs byte for byte. Exit codes: 0
+success, 1 usage or configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import DIMS_PRESETS, ModelDims, parse_alloc_spec, trainable_param_count
+from .allocation import DIMS_PRESETS, ModelDims, parse_alloc_spec, trainable_param_count, validate
 from .analysis import AccuracyMatrix, build_report, dumps_report, emit_report
 from .checkpoint import CheckpointError, atomic_write, load, save
 from .model import (
@@ -46,13 +47,15 @@ from .tasks import (
 )
 from .tensor import NonFiniteError
 
-# Every field of the two configs with its default, except the two the CLI
-# derives itself: allocation from alloc and k, seed from the mandatory --seed.
-TRAIN_DEFAULTS = {f.name: f.default for f in (*fields(RunConfig), *fields(ToyTransformerConfig))
-                  if f.name not in ("allocation", "seed")}
-
-CONTINUAL_DEFAULTS = dict(TRAIN_DEFAULTS, domains=5, domain_size=150,
-                          steps=300, eval_split="eval", identical_domains=False)
+# The keys both commands take, with defaults: every field of the two configs
+# but the allocation (given as alloc and k) and the mandatory seed. Each
+# command adds the keys only it reads.
+_SHARED_DEFAULTS = {"alloc": "counts=2,2,2,2", "k": 2, **{
+    f.name: f.default for f in (*fields(RunConfig), *fields(ToyTransformerConfig))
+    if f.name not in ("allocation", "seed")}}
+TRAIN_DEFAULTS = {"dataset": "copy", "data_size": 200, "cutoff_len": 64, **_SHARED_DEFAULTS}
+CONTINUAL_DEFAULTS = {**_SHARED_DEFAULTS, "domains": 5, "domain_size": 150, "steps": 300,
+                      "eval_split": "eval", "identical_domains": False}
 
 
 class UsageError(Exception):
@@ -86,8 +89,8 @@ def _read_kv_config(path: str) -> dict[str, str]:
 
 
 # The value type of every settings key; keys whose default is None are listed.
-_TYPES = {"epochs": int, "target_acc": float, "seed": int, "out": str,
-          **{key: type(v) for key, v in CONTINUAL_DEFAULTS.items() if v is not None}}
+_TYPES = {"epochs": int, "target_acc": float, "seed": int, "out": str, **{
+    key: type(v) for key, v in (TRAIN_DEFAULTS | CONTINUAL_DEFAULTS).items() if v is not None}}
 _CHOICES = {"eval_split": ("eval", "train", "all"), "precision": tuple(sorted(PRECISIONS))}
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _HELP = {
@@ -113,7 +116,7 @@ def _coerce(key: str, raw: str):
     return value
 
 
-def _resolve(args, defaults: dict) -> tuple[dict, ToyTransformerConfig, RunConfig]:
+def _resolve(args, defaults: dict) -> tuple[dict, set, ToyTransformerConfig, RunConfig]:
     """Merge precedence: explicit flags > config file > built-in defaults."""
     merged = dict(defaults)
     given = set()
@@ -135,14 +138,7 @@ def _resolve(args, defaults: dict) -> tuple[dict, ToyTransformerConfig, RunConfi
         allocation=parse_alloc_spec(merged["alloc"], merged["num_layers"], k=merged["k"]),
         seed=merged["seed"], **{f.name: merged[f.name] for f in fields(ToyTransformerConfig)
                                 if f.name in defaults})
-    if merged["cutoff_len"] > config.max_seq_len:
-        # a prompt longer than max_seq_len fails the forward: a cutoff the
-        # user gave is refused, the default one shrinks to fit
-        if "cutoff_len" in given:
-            raise UsageError(f"cutoff_len {merged['cutoff_len']} exceeds max_seq_len "
-                             f"{config.max_seq_len}")
-        merged["cutoff_len"] = config.max_seq_len
-    return merged, config, RunConfig(**{f.name: merged[f.name] for f in fields(RunConfig)})
+    return merged, given, config, RunConfig(**{f.name: merged[f.name] for f in fields(RunConfig)})
 
 
 def _run_dir(resolved: dict) -> Path:
@@ -167,19 +163,21 @@ def _truncate(examples, cutoff: int):
             if len(ex.prompt) > cutoff else ex for ex in examples]
 
 
-def _load_dataset(run: RunConfig) -> TaskData:
-    if run.dataset.startswith("jsonl:"):
-        path = run.dataset[len("jsonl:"):]
+def _load_dataset(dataset: str, size: int, seed: int, cutoff: int) -> TaskData:
+    if cutoff < 1:
+        raise UsageError(f"cutoff_len must be at least 1, got {cutoff}")
+    if dataset.startswith("jsonl:"):
+        path = dataset[len("jsonl:"):]
         try:
-            examples = _truncate(load_jsonl(path), run.cutoff_len)
+            examples = _truncate(load_jsonl(path), cutoff)
         except OSError as err:
             raise UsageError(f"cannot read dataset {path}: {err}") from err
         return TaskData(name=f"jsonl:{path}", train=examples, eval=examples)
-    if run.dataset in TASK_KINDS:
-        task = generate_task(run.dataset, run.data_size, seed=run.seed)
-        return TaskData(name=task.name, train=_truncate(task.train, run.cutoff_len),
-                        eval=_truncate(task.eval, run.cutoff_len))
-    raise UsageError(f"unknown dataset spec {run.dataset!r}: use a task kind "
+    if dataset in TASK_KINDS:
+        task = generate_task(dataset, size, seed=seed)
+        return TaskData(name=task.name, train=_truncate(task.train, cutoff),
+                        eval=_truncate(task.eval, cutoff))
+    raise UsageError(f"unknown dataset spec {dataset!r}: use a task kind "
                      f"{TASK_KINDS} or jsonl:PATH")
 
 
@@ -196,14 +194,24 @@ def cmd_params(args) -> int:
         except KeyError as err:
             raise UsageError(f"dims file {dims_spec} missing key {err.args[0]!r}") from err
     plan = parse_alloc_spec(args.alloc, dims.num_layers, k=args.k)
+    problems = validate(plan, dims)
+    if problems:
+        raise UsageError("invalid allocation: " + "; ".join(problems))
     print(f"trainable_params {trainable_param_count(plan, dims)}")
     print(f"total_experts {plan.total_experts}")
     return 0
 
 
 def cmd_train(args) -> int:
-    resolved, config, run = _resolve(args, TRAIN_DEFAULTS)
-    task = _load_dataset(run)
+    resolved, given, config, run = _resolve(args, TRAIN_DEFAULTS)
+    # a prompt over max_seq_len fails the forward: the default cutoff shrinks, a given one fails
+    if "cutoff_len" not in given:
+        resolved["cutoff_len"] = min(resolved["cutoff_len"], config.max_seq_len)
+    elif resolved["cutoff_len"] > config.max_seq_len:
+        raise UsageError(f"cutoff_len {resolved['cutoff_len']} exceeds max_seq_len "
+                         f"{config.max_seq_len}")
+    task = _load_dataset(resolved["dataset"], resolved["data_size"], config.seed,
+                         resolved["cutoff_len"])
     check_vocab(task.all_examples, config.vocab_size)
     model = AdaptedModel.build(config)  # its own checks fire before anything is written
     run_dir = _run_dir(resolved)
@@ -230,9 +238,9 @@ def _continual_eval_pool(domain: TaskData, split: str):
 
 
 def cmd_continual(args) -> int:
-    resolved, config, run = _resolve(args, CONTINUAL_DEFAULTS)
+    resolved, _, config, run = _resolve(args, CONTINUAL_DEFAULTS)
     domains = generate_domain_sequence(resolved["domains"], resolved["domain_size"],
-                                       seed=run.seed)
+                                       seed=config.seed)
     if resolved["identical_domains"]:
         # null test: every stage revisits the first domain, so no shift occurs
         domains = [TaskData(name=f"stage{k}", train=domains[0].train,
@@ -290,10 +298,10 @@ def cmd_analyze(args) -> int:
         model = load(ckpt)
         if args.dataset is not None:
             # prompts are cut as a run with this max_seq_len cut them
-            examples = _load_dataset(RunConfig(
-                dataset=args.dataset,
-                seed=args.seed if args.seed is not None else model.config.seed,
-                cutoff_len=min(RunConfig.cutoff_len, model.config.max_seq_len))).all_examples
+            examples = _load_dataset(
+                args.dataset, TRAIN_DEFAULTS["data_size"],
+                args.seed if args.seed is not None else model.config.seed,
+                min(TRAIN_DEFAULTS["cutoff_len"], model.config.max_seq_len)).all_examples
     if args.matrix:
         if not Path(args.matrix).exists():
             raise UsageError(f"matrix file not found: {args.matrix}")

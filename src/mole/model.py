@@ -45,7 +45,7 @@ def _require_finite(config, *keys: str) -> None:
 
 @dataclass
 class ToyTransformerConfig:
-    """Everything needed to build the toy model, seed included."""
+    """Everything needed to build the toy model, with the run's one seed, which has no default."""
 
     num_layers: int = 4
     d_model: int = 64
@@ -58,7 +58,7 @@ class ToyTransformerConfig:
     alpha: float = 16.0
     dropout: float = 0.05
     lambda_aux: float = 0.01
-    seed: int = 0
+    seed: int = field(kw_only=True)
     precision: str = "f64"
 
     def __post_init__(self):
@@ -320,32 +320,28 @@ class AdaptedModel:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A training run's settings beside the model's, with `mole train`'s defaults."""
+    """The settings `fit`'s loop reads, with `mole train`'s defaults; the seed is the model's."""
 
-    dataset: str = "copy"
-    data_size: int = 200
-    alloc: str = "counts=2,2,2,2"
-    k: int = 2
     steps: int = 500
     epochs: int | None = None
     batch_size: int = 25
     lr: float = 3e-3
     lr_decay: float = 0.9
     weight_decay: float = 0.01
-    cutoff_len: int = 64
     target_acc: float | None = None
     metrics_every: int = 25
-    seed: int = field(kw_only=True)
 
     def __post_init__(self):
         _require_finite(self, "lr", "weight_decay")
-        for key, low in (("batch_size", 1), ("metrics_every", 1), ("cutoff_len", 1),
-                         ("steps", 0), ("epochs", 0), ("lr", 0), ("weight_decay", 0)):
+        for key, low in (("batch_size", 1), ("metrics_every", 1), ("steps", 0),
+                         ("epochs", 0), ("lr", 0), ("weight_decay", 0)):
             value = getattr(self, key)
             if value is not None and value < low:
                 raise ValueError(f"{key} must be at least {low}, got {value}")
-        if not 0.0 <= self.lr_decay <= 1.0:
-            raise ValueError(f"lr_decay must be in [0, 1], got {self.lr_decay}")
+        for key in ("lr_decay", "target_acc"):  # nan fails the comparison too
+            value = getattr(self, key)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{key} must be in [0, 1], got {value}")
 
 
 class AdamW:
@@ -362,9 +358,9 @@ class AdamW:
     repacks the views.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
+    def __init__(self, params: dict[str, Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+                 weight_decay: float = RunConfig.weight_decay):
         self.params = dict(params)
         for name, p in self.params.items():
             if not p.requires_grad:
@@ -508,17 +504,17 @@ def _accuracies(model: AdaptedModel, task) -> tuple[float, float]:
 def fit(model: AdaptedModel, task, run: RunConfig, log=None, tag="") -> tuple[float, float]:
     """Train `model` on `task.train` as `mole train` does and return the
     (train, eval) accuracies of its final weights, measured if no row was
-    logged. Batches and dropout come from the seed's streams keyed by `tag`.
-    Every `run.metrics_every` steps and at the last, a METRICS_HEADER row
-    goes to the text stream `log`, flushed at once; the run stops early once
-    a logged train accuracy reaches `run.target_acc`."""
+    logged. Batches and dropout come from `model.config.seed`'s streams keyed
+    by `tag`. Every `run.metrics_every` steps and at the last, a METRICS_HEADER
+    row goes to the text stream `log`, flushed at once; the run stops early
+    once a logged train accuracy reaches `run.target_acc`."""
     batch_size = min(run.batch_size, len(task.train))
     steps = run.steps
     if run.epochs is not None:
         steps = run.epochs * -(-len(task.train) // batch_size)
     opt = AdamW(model.trainable_parameters(), lr=run.lr, weight_decay=run.weight_decay)
-    rng = Rng(run.seed).child("train", tag)
-    order = Rng(run.seed).child("batches", tag)
+    rng = Rng(model.config.seed).child("train", tag)
+    order = Rng(model.config.seed).child("batches", tag)
     accuracies = None
     for step in range(steps):
         frac = step / max(1, steps - 1)

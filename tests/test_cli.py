@@ -1,5 +1,6 @@
 """CLI behavior: parameter accounting, runs, analysis, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 
@@ -10,7 +11,7 @@ from golden_tables import DOMAINS, matrix_rows
 from mole.allocation import parse_alloc_spec
 from mole.analysis import AccuracyMatrix
 from mole.checkpoint import load, save
-from mole.cli import CONTINUAL_DEFAULTS, TRAIN_DEFAULTS, main
+from mole.cli import CONTINUAL_DEFAULTS, TRAIN_DEFAULTS, build_parser, main
 from mole.model import AdaptedModel, ToyTransformerConfig
 from mole.tensor import Rng
 
@@ -41,19 +42,27 @@ class TestParams:
 
     def test_bad_alloc_is_usage_error(self, capsys):
         assert run_cli("params", "--dims", "llama2-7b", "--alloc", "blob:9") == 1
+        # fewer experts than the top-K in a layer: mole train refuses this plan too
+        capsys.readouterr()
+        assert run_cli("params", "--dims", "toy-default", "--alloc", "counts=1,1,3,3",
+                       "--k", "5") == 1
+        captured = capsys.readouterr()
+        assert "layer 0: expert count 1 < top-K 5" in captured.err
+        assert captured.out == ""
 
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli() == 1
 
     def test_dims_file(self, tmp_path, capsys):
-        assert run_cli("params", "--dims", "toy-default", "--alloc", "counts=1,1,3,3") == 0
+        plan = ("--alloc", "counts=1,1,3,3", "--k", "1")
+        assert run_cli("params", "--dims", "toy-default", *plan) == 0
         preset = capsys.readouterr().out
         dims = tmp_path / "dims.cfg"
         dims.write_text("num_layers = 4\nd-model = 64\nd_ffn = 172\nrank = 8\n")
-        assert run_cli("params", "--dims", str(dims), "--alloc", "counts=1,1,3,3") == 0
+        assert run_cli("params", "--dims", str(dims), *plan) == 0
         assert capsys.readouterr().out == preset
         dims.write_text("num_layers = 4\nd_model = 64\nrank = 8\n")
-        assert run_cli("params", "--dims", str(dims), "--alloc", "counts=1,1,3,3") == 1
+        assert run_cli("params", "--dims", str(dims), *plan) == 1
         assert "missing key 'd_ffn'" in capsys.readouterr().err
 
 
@@ -145,13 +154,15 @@ class TestTrain:
                                             ("vocab_size", "48"), ("lr", "nan"),
                                             ("weight_decay", "inf"), ("alpha", "inf"),
                                             ("alpha", "nan"), ("lambda_aux", "inf"),
-                                            ("dropout", "nan")])
+                                            ("dropout", "nan"), ("target_acc", "nan"),
+                                            ("target_acc", "1.5"), ("target_acc", "-0.1")])
     def test_non_positive_run_lengths_rejected(self, tmp_path, capsys, source, key, value):
         # out-of-range run lengths, lr_decay outside [0, 1], negative learning
         # settings, model sizes below 1, a vocabulary that misses a dataset
         # token (modular_add uses ids 43 to 61), adapter settings the model
-        # rejects and nan or infinite settings, which pass every range check,
-        # all fail before the run directory exists, from a flag or a config file
+        # rejects, nan or infinite settings, which pass every range check, and
+        # a target accuracy outside [0, 1] all fail before the run directory
+        # exists, from a flag or a config file
         flag = "--" + key.replace("_", "-")
         argv = train_args(tmp_path)
         if flag in argv:
@@ -232,17 +243,21 @@ class TestTrain:
                        "--alloc", "counts=1,1,3,3", "--k", "1", "--steps", "0",
                        "--seed", "11", "--out", str(tmp_path / "runs")) == 0
         run_dir = next((tmp_path / "runs").iterdir())
-        allocation = parse_alloc_spec("counts=1,1,3,3", ToyTransformerConfig().num_layers, k=1)
+        layers = ToyTransformerConfig(seed=0).num_layers
+        allocation = parse_alloc_spec("counts=1,1,3,3", layers, k=1)
         assert load(run_dir / "model.ckpt").config == ToyTransformerConfig(
             allocation=allocation, seed=11)
 
-    def test_every_settings_key_has_a_flag(self, capsys):
+    def test_every_settings_key_has_a_flag(self):
+        # exactly one flag per key the command reads, plus --seed, --out and
+        # --config: a key no command reads has no flag to hide behind
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
         for command, defaults in (("train", TRAIN_DEFAULTS), ("continual", CONTINUAL_DEFAULTS)):
-            with pytest.raises(SystemExit):
-                run_cli(command, "--help")
-            usage = capsys.readouterr().out
-            for key in [*defaults, "seed", "out", "config"]:
-                assert f"--{key.replace('_', '-')}" in usage, (command, key)
+            flags = [flag for action in commands[command]._actions
+                     for flag in action.option_strings if flag not in ("-h", "--help")]
+            assert sorted(flags) == sorted(f"--{key.replace('_', '-')}" for key in
+                                           [*defaults, "seed", "out", "config"]), command
 
     def test_model_keys_settable_by_flag(self, tmp_path):
         assert run_cli(*train_args(tmp_path, steps="0", precision="f32", **{
@@ -555,12 +570,32 @@ class TestContinual:
                                             ("num_heads", "0"), ("max_seq_len", "0"),
                                             ("vocab_size", "64"), ("lr", "nan"),
                                             ("weight_decay", "inf"), ("alpha", "inf"),
-                                            ("lambda_aux", "inf")])
+                                            ("lambda_aux", "inf"), ("target_acc", "nan"),
+                                            ("target_acc", "1.5")])
     def test_bad_settings_rejected_before_the_run_directory(self, tmp_path, capsys, key, value):
         assert run_cli("continual", "--domains", "2", "--domain-size", "40", "--steps", "2",
                        "--seed", "7", "--out", str(tmp_path / "c"),
                        "--" + key.replace("_", "-"), value) == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value", [("dataset", "copy"), ("data_size", "40"),
+                                            ("cutoff_len", "8")])
+    def test_dataset_keys_rejected(self, tmp_path, capsys, source, key, value):
+        # continual generates its own domains: mole train's data keys are refused
+        argv = ["continual", "--domains", "2", "--domain-size", "20", "--steps", "2",
+                "--seed", "7", "--out", str(tmp_path / "c")]
+        named = "--" + key.replace("_", "-")
+        if source == "flag":
+            argv += [named, value]
+        else:
+            named = repr(key)
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 1
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     def test_diverged_stage_keeps_the_finished_stages(self, tmp_path, monkeypatch, capsys):

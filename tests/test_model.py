@@ -145,7 +145,7 @@ class TestBuild:
             num_layers=3, d_model=24, d_ffn=40, num_heads=3, vocab_size=128,
             max_seq_len=32, allocation=AllocationPlan((1, 2, 3), k=1), rank=4,
             alpha=8.0, dropout=0.1, lambda_aux=0.02, seed=9, precision="f32")
-        default = ToyTransformerConfig()
+        default = ToyTransformerConfig(seed=0)
         for f in dataclasses.fields(ToyTransformerConfig):
             assert getattr(changed, f.name) != getattr(default, f.name), f.name
         stored = json.loads(json.dumps(changed.to_dict()))  # as a checkpoint header keeps it
@@ -290,7 +290,8 @@ class TestTraining:
         def stats(examples):
             model = AdaptedModel.build(tiny_config())
             randomize_adapters(model, 27)
-            return train_step(model, examples, AdamW(model.trainable_parameters()), Rng(28))
+            opt = AdamW(model.trainable_parameters(), lr=3e-4)
+            return train_step(model, examples, opt, Rng(28))
 
         whole, short, long = stats(batch), stats(batch[0::2]), stats(batch[1::2])
         for name in ("total_loss", "cross_entropy", "aux_loss"):
@@ -309,14 +310,14 @@ class TestTraining:
             answers = model.forward(ids).logits.data[:, -1:, :]
             labels = np.array([[ex.label] for ex in group])
             expected += len(group) / len(batch) * cross_entropy(Tensor(answers), labels).item()
-        stats = train_step(model, batch, AdamW(model.trainable_parameters()), Rng(30))
+        stats = train_step(model, batch, AdamW(model.trainable_parameters(), lr=3e-4), Rng(30))
         assert stats.cross_entropy == pytest.approx(expected, abs=1e-12)
         assert stats.total_loss == pytest.approx(expected, abs=1e-12)
 
     def test_empty_batch_rejected(self):
         model = AdaptedModel.build(tiny_config())
         with pytest.raises(ValueError, match="empty"):
-            train_step(model, [], AdamW(model.trainable_parameters()), Rng(0))
+            train_step(model, [], AdamW(model.trainable_parameters(), lr=3e-4), Rng(0))
 
 
 # Trains through the library alone, in a fresh interpreter that never imports
@@ -327,11 +328,10 @@ import numpy as np
 from mole import (AdaptedModel, RunConfig, ToyTransformerConfig, fit, generate_task,
                   parse_alloc_spec)
 alloc, out = sys.argv[1], sys.argv[2]
-run = RunConfig(alloc=alloc, data_size=40, steps=4, metrics_every=1, seed=1)
-model = AdaptedModel.build(ToyTransformerConfig(
-    allocation=parse_alloc_spec(alloc, 4, k=run.k), seed=run.seed))
+run = RunConfig(steps=4, metrics_every=1)
+model = AdaptedModel.build(ToyTransformerConfig(allocation=parse_alloc_spec(alloc, 4), seed=1))
 log = io.StringIO()
-fit(model, generate_task(run.dataset, run.data_size, seed=run.seed), run, log)
+fit(model, generate_task("copy", 40, seed=model.config.seed), run, log)
 assert "mole.cli" not in sys.modules
 np.savez(out, rows=log.getvalue(),
          **{name: p.data for name, p in model.trainable_parameters().items()})
@@ -362,9 +362,10 @@ class TestFit:
 
     @pytest.mark.parametrize("config, key, value", [
         (RunConfig, "batch_size", 0), (RunConfig, "metrics_every", 0),
-        (RunConfig, "cutoff_len", 0), (RunConfig, "steps", -1), (RunConfig, "epochs", -1),
+        (RunConfig, "steps", -1), (RunConfig, "epochs", -1),
         (RunConfig, "lr", -1e-3), (RunConfig, "weight_decay", -0.01),
         (RunConfig, "lr_decay", 1.5), (RunConfig, "lr_decay", -0.5),
+        (RunConfig, "target_acc", 1.5), (RunConfig, "target_acc", -0.1),
         # num_heads 0 would divide by zero and -1 divides d_model: both are
         # named before the divisibility check
         (ToyTransformerConfig, "num_heads", 0), (ToyTransformerConfig, "num_heads", -1),
@@ -372,21 +373,23 @@ class TestFit:
         (ToyTransformerConfig, "lambda_aux", -0.01),
         # nan and infinity pass every range check, so they are named apart
         (RunConfig, "lr", float("nan")), (RunConfig, "weight_decay", float("inf")),
+        (RunConfig, "target_acc", float("nan")), (RunConfig, "target_acc", float("inf")),
         (ToyTransformerConfig, "alpha", float("inf")),
         (ToyTransformerConfig, "dropout", float("nan")),
         (ToyTransformerConfig, "lambda_aux", float("inf"))])
     def test_configs_reject_out_of_range_values(self, config, key, value):
+        seed = {"seed": 0} if config is ToyTransformerConfig else {}
         with pytest.raises(ValueError, match=key):
-            config(seed=0, **{key: value})
+            config(**seed, **{key: value})
 
-    def test_run_config_needs_a_seed(self):
+    def test_model_config_needs_a_seed(self):
         with pytest.raises(TypeError, match="seed"):
-            RunConfig()
+            ToyTransformerConfig()
 
     def test_target_accuracy_stops_the_run_at_the_first_row_that_reaches_it(self):
         task = generate_task("modular_add", 49, seed=3)
         model = AdaptedModel.build(tiny_config(vocab_size=64))
-        run = RunConfig(steps=6, batch_size=8, metrics_every=2, target_acc=0.0, seed=3)
+        run = RunConfig(steps=6, batch_size=8, metrics_every=2, target_acc=0.0)
         log = io.StringIO()
         train_acc, eval_acc = fit(model, task, run, log)
         assert model.step == 2
@@ -446,7 +449,7 @@ class TestAdamW:
 
     def test_frozen_parameter_rejected(self):
         with pytest.raises(ValueError, match="frozen"):
-            AdamW({"w": Tensor(np.zeros(3))})
+            AdamW({"w": Tensor(np.zeros(3))}, lr=3e-4)
 
 
 class TestGraphSize:
@@ -473,7 +476,7 @@ class TestGraphSize:
         model = AdaptedModel(ToyTransformerConfig(allocation=parse_alloc_spec(alloc, 4, k=k),
                                                   seed=1))
         batch = generate_task("copy", 32, seed=1).train[:25]
-        train_step(model, batch, AdamW(model.trainable_parameters()), Rng(2))
+        train_step(model, batch, AdamW(model.trainable_parameters(), lr=3e-4), Rng(2))
         return counts[0]
 
     def test_ops_per_step_small_and_independent_of_allocation(self, monkeypatch):
