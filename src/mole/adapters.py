@@ -1,17 +1,19 @@
 """LoRA experts, top-K routers, and the routed adapted linear layer.
 
 An adapted linear layer keeps its dense weight frozen and adds a gated sum of
-low-rank expert updates on top. Each expert is a pair of factors; the output
-factor starts Gaussian and the input factor starts at exactly zero, so a fresh
-layer computes the frozen product unchanged. A per-layer router picks the K
-most probable experts per token and fuses their outputs with renormalized
-softmax weights. A switch-style load-balancing loss keeps expert workloads
-equitable.
+low-rank expert updates on top. Its N experts are two trainable arrays,
+out-factors (out, N * rank) and in-factors (N * rank, in): expert i is
+column block i of one and row block i of the other, and a
+:class:`LoraExpert` views them. The out-factors start Gaussian and the
+in-factors at exactly zero, so a fresh layer computes the frozen product
+unchanged. A per-layer router picks the K most probable experts per token
+and fuses their outputs with renormalized softmax weights. A switch-style
+load-balancing loss keeps expert workloads equitable.
 
 An adapted matrix runs as one stacked expert product (:func:`stacked_lora`): x
-times all N experts' in-factors stacked, each token's blocks at its selected
-experts gathered into a weighted gated product, one product with the
-out-factors stacked, and the frozen product: N * rank * (in + out) per token,
+times the stacked in-factors, each token's blocks at its selected experts
+gathered into a weighted gated product, one product with the stacked
+out-factors, and the frozen product: N * rank * (in + out) per token,
 whatever K. Dropout masks each (token, selection slot) on its own, so two
 identical experts still see different masks; a token's K slots are then K rows
 of the in-product, K * N * rank * in per token. Training, gradient checks and
@@ -68,38 +70,18 @@ class GateBatch:
 
 
 class LoraExpert:
-    """One low-rank adapter's factors: out_factor (out_dim x rank) and
-    in_factor (rank x in_dim).
+    """Expert i of an adapted matrix, as tensors over numpy views of its
+    blocks: `out_factor` (out_dim x rank) and `in_factor` (rank x in_dim).
 
-    An expert holds its factors and nothing else: the scale alpha / rank and
-    the dropout rate are its adapted matrix's (:class:`AdaptedLinear`), the
-    same for every expert there. in_factor starts at zero, so a freshly
-    initialized expert contributes nothing.
+    A write through them changes the matrix; gradients reach the stacked
+    arrays, not the views. A view taken before `AdamW(...)` repacks the
+    storage still reads the old arrays: it is stale.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rank: int, *, rng: Rng | None = None,
-                 dtype=np.float64):
-        if rank < 1 or rank >= min(in_dim, out_dim):
-            raise ValueError(f"rank must satisfy 1 <= rank < min({in_dim}, {out_dim}), got {rank}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.rank = rank
-        init = rng.normal((out_dim, rank), std=EXPERT_INIT_STD, dtype=dtype) \
-            if rng is not None else np.zeros((out_dim, rank), dtype=dtype)
-        self.out_factor = Tensor(init, requires_grad=True)
-        self.in_factor = Tensor(np.zeros((rank, in_dim), dtype=dtype), requires_grad=True)
-
-    @classmethod
-    def from_factors(cls, out_factor, in_factor) -> "LoraExpert":
-        """Build an expert from explicit factor matrices (mostly for tests)."""
-        a = np.asarray(out_factor, dtype=np.float64)
-        b = np.asarray(in_factor, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"factor shapes disagree: {a.shape} x {b.shape}")
-        expert = cls(b.shape[1], a.shape[0], a.shape[1])
-        expert.out_factor = Tensor(a, requires_grad=True)
-        expert.in_factor = Tensor(b, requires_grad=True)
-        return expert
+    def __init__(self, layer: "AdaptedLinear", index: int):
+        block = slice(index * layer.rank, (index + 1) * layer.rank)
+        self.out_factor = Tensor(layer.out_factors.data[:, block], requires_grad=True)
+        self.in_factor = Tensor(layer.in_factors.data[block], requires_grad=True)
 
     def effective_delta(self) -> np.ndarray:
         """The dense (out_dim, in_dim) update this expert encodes, unscaled."""
@@ -177,19 +159,19 @@ def balance_loss_tensor(gates: list[GateBatch]) -> Tensor:
     return _make(np.asarray(total * share, dtype=probs[0].dtype), probs, backward)
 
 
-def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[LoraExpert],
-                 dropped: np.ndarray | None, rate: float, scale: float,
+def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, in_factors: Tensor,
+                 out_factors: Tensor, dropped: np.ndarray | None, rate: float, scale: float,
                  record: bool = True) -> Tensor:
     """One adapted matrix: x @ frozen.T plus each token's selected expert
     updates, weighted by the gate's renormalised weights times `scale`, as
     one stacked expert product.
 
-    x @ [A_1; ...; A_N].T gives every expert's (tokens, rank) block at once,
-    with A the in-factors; a gather takes each token's blocks at its selected
-    experts, one scatter puts them, times weights * scale, into a gated
-    product that is zero elsewhere, and one product with the out-factors
-    [B_1, ..., B_N] sums them onto x @ frozen.T. `dropped`, the positions
-    dropout zeroes flat in the (tokens, K, in_dim) layout
+    x @ in_factors.T, with in_factors = [A_1; ...; A_N], gives every
+    expert's (tokens, rank) block at once; a gather takes each token's blocks
+    at its selected experts, one scatter puts them, times weights * scale,
+    into a gated product that is zero elsewhere, and one product with
+    out_factors = [B_1, ..., B_N] sums them onto x @ frozen.T. `dropped`,
+    the positions dropout zeroes flat in the (tokens, K, in_dim) layout
     (:func:`~mole.tensor.dropout_positions`) or None, sets only the slot
     count and the mask. Without it x is the one row block: N * rank *
     (in + out) per token, whatever K. With it each selection slot sees its
@@ -197,23 +179,22 @@ def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[L
     (K * N * rank * in per token).
 
     Without `record` the result is a plain tensor. With it the op is one
-    graph node whose parents are x, `gate.probs` and every expert's factors.
-    It keeps the stacked factors, each slot's block at its expert and the
-    dropped positions; the backward rebuilds the slot rows and the gated
-    product. It is the products transposed: with h = grad @ [B_1, ..., B_N],
-    the out-factors get grad.T @ gated; h at each row's selected experts
-    times weights * scale is dlow, which gives the in-factors dlow.T @ rows
-    and x grad @ frozen plus the masked dlow @ [A_1; ...; A_N] of every
-    slot. So an expert no token selected gets exact-zero gradients. The
-    weights get dw[t, s] = scale * <h, low> at slot s's expert, and the
-    renormalisation sends it to the selected probabilities: for a token with
-    selected set S, weights w and dw, dp_S = (dw - <dw, w>) / sum(p_S).
+    graph node whose parents are x, `gate.probs` and the two factor arrays.
+    It keeps each slot's block at its expert and the dropped positions; the
+    backward rebuilds the slot rows and the gated product. It is the
+    products transposed: with h = grad @ out_factors, the out-factors get
+    grad.T @ gated; h at each row's selected experts times weights * scale
+    is dlow, which gives the in-factors dlow.T @ rows and x grad @ frozen
+    plus the masked dlow @ in_factors of every slot. So an expert no token
+    selected gets exact-zero gradients. The weights get
+    dw[t, s] = scale * <h, low> at slot s's expert, and the renormalisation
+    sends it to the selected probabilities: for a token with selected set S,
+    weights w and dw, dp_S = (dw - <dw, w>) / sum(p_S).
     """
     weights, probs, selected = gate.weights, gate.probs, gate.selected
     tokens, k = selected.shape
-    n, rank = len(experts), experts[0].rank
-    stacked_in = np.concatenate([e.in_factor.data for e in experts])            # (N r, in)
-    stacked_out = np.concatenate([e.out_factor.data for e in experts], axis=1)  # (out, N r)
+    n, rank = probs.shape[1], in_factors.shape[0] // probs.shape[1]
+    stacked_in, stacked_out = in_factors.data, out_factors.data   # (N r, in), (out, N r)
     block = np.arange(tokens)[:, None] * n + selected  # each slot's expert, flat in (tokens, N)
     scaled = weights * scale
     slots = 1 if dropped is None else k         # row blocks of the in-product
@@ -245,14 +226,12 @@ def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[L
 
     def backward(grad):
         h = grad @ stacked_out
-        d_out = grad.T @ scatter(picked, block, tokens * n).reshape(tokens, n * rank)
+        out_factors._accumulate(
+            grad.T @ scatter(picked, block, tokens * n).reshape(tokens, n * rank))
         h_picked = h.reshape(-1, rank).take(block, axis=0)
         dw = np.einsum("tsr,tsr->ts", h_picked, picked)             # d loss / d weights
         dlow = scatter(h_picked, at, slots * tokens * n).reshape(slots, tokens, n * rank)
-        d_in = (dlow.transpose(0, 2, 1) @ x_rows()).sum(axis=0)
-        for i, e in enumerate(experts):
-            e.out_factor._accumulate(d_out[:, i * rank:(i + 1) * rank])
-            e.in_factor._accumulate(d_in[i * rank:(i + 1) * rank])
+        in_factors._accumulate((dlow.transpose(0, 2, 1) @ x_rows()).sum(axis=0))
         if x.requires_grad:
             dx = grad @ frozen
             d_rows = np.empty((tokens * slots, x.shape[1]), dtype=x.dtype)
@@ -269,56 +248,59 @@ def stacked_lora(x: Tensor, frozen: np.ndarray, gate: GateBatch, experts: list[L
             dprobs[block] = dw
             probs._accumulate(dprobs.reshape(probs.shape))
 
-    factors = [t for e in experts for t in (e.in_factor, e.out_factor)]
-    return _make(out, (x, probs, *factors), backward)
+    return _make(out, (x, probs, in_factors, out_factors), backward)
 
 
 class AdaptedLinear:
     """A frozen linear map plus routed low-rank expert updates.
 
-    The frozen weight is (out_dim, in_dim) and never receives gradients. All
-    experts share the frozen matrix's dimensions and one rank; the matrix
-    keeps `alpha` once, as `scale` = alpha / rank, and its `dropout_rate`. The
-    router consumes the same activation rows that feed the frozen matrix.
+    The frozen weight is (out_dim, in_dim) and never receives gradients. The
+    router's N experts share one rank, read off the trainable `out_factors`
+    (out_dim, N * rank) and `in_factors` (N * rank, in_dim), whose blocks i
+    are expert i's B_i and A_i (:class:`LoraExpert` views them). The matrix
+    keeps `alpha` once, as `scale` = alpha / rank, and its `dropout_rate`.
+    The router consumes the same activation rows that feed the frozen matrix.
 
     For tokens x the output is x @ frozen.T plus, for each token and each of
     its K selected experts i, the expert's renormalised weight times
-    scale * dropout(x[token]) @ A_i.T @ B_i.T, with A the in-factors
-    and B the out-factors. The whole formula is one op, :func:`stacked_lora`,
-    one path with and without dropout: two stacked expert products whose work
-    is O(N * rank) per token, O(K * N * rank) on the in-path under dropout. A
-    recorded forward records three graph nodes (router logits, softmax,
-    stacked op) whatever the expert count.
+    scale * dropout(x[token]) @ A_i.T @ B_i.T. The whole formula is one op,
+    :func:`stacked_lora`, one path with and without dropout: two stacked
+    expert products whose work is O(N * rank) per token, O(K * N * rank) on
+    the in-path under dropout. A recorded forward records three graph nodes
+    (router logits, softmax, stacked op) whatever the expert count.
     """
 
-    def __init__(self, frozen_weight: np.ndarray, experts: list[LoraExpert],
-                 router: Router, *, alpha: float, dropout_rate: float):
+    def __init__(self, frozen_weight: np.ndarray, out_factors: np.ndarray,
+                 in_factors: np.ndarray, router: Router, *, alpha: float, dropout_rate: float):
         w0 = np.asarray(frozen_weight)
         if w0.ndim != 2:
             raise ValueError(f"frozen weight must be 2-d, got shape {w0.shape}")
         out_dim, in_dim = w0.shape
-        for e in experts:
-            if (e.in_dim, e.out_dim) != (in_dim, out_dim):
-                raise ValueError(
-                    f"expert dims ({e.in_dim}, {e.out_dim}) disagree with frozen ({in_dim}, {out_dim})")
-        ranks = {e.rank for e in experts}
-        if len(ranks) > 1:
-            raise ValueError(f"experts must share one rank, got {sorted(ranks)}")
+        b, a, n = np.asarray(out_factors), np.asarray(in_factors), router.num_experts
+        rank = len(a) // n if a.ndim == 2 else 0
+        if b.shape != (out_dim, n * rank) or a.shape != (n * rank, in_dim):
+            raise ValueError(f"expert dims: the router's {n} experts need factors ({out_dim}, "
+                             f"{n} * rank) and ({n} * rank, {in_dim}), got {b.shape}, {a.shape}")
+        if router.in_dim != in_dim:
+            raise ValueError(f"router input dim {router.in_dim} != layer input dim {in_dim}")
+        if not 1 <= rank < min(in_dim, out_dim):
+            raise ValueError(f"rank must satisfy 1 <= rank < min({in_dim}, {out_dim}), got {rank}")
         if not 0.0 < alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
-        if router.num_experts != len(experts):
-            raise ValueError(f"router expects {router.num_experts} experts, got {len(experts)}")
-        if router.in_dim != in_dim:
-            raise ValueError(f"router input dim {router.in_dim} != layer input dim {in_dim}")
         self.frozen = Tensor(w0)  # requires_grad stays False: never trained
-        self.experts = experts
+        self.out_factors = Tensor(b, requires_grad=True)
+        self.in_factors = Tensor(a, requires_grad=True)
         self.router = router
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.scale = float(alpha) / experts[0].rank
+        self.in_dim, self.out_dim, self.rank = in_dim, out_dim, rank
+        self.scale = float(alpha) / rank
         self.dropout_rate = float(dropout_rate)
+
+    @property
+    def experts(self) -> list[LoraExpert]:
+        """Every expert as a view of its factor blocks, taken anew on each call."""
+        return [LoraExpert(self, i) for i in range(self.router.num_experts)]
 
     def forward(self, x: Tensor, rng: Rng | None = None,
                 record: bool = True) -> tuple[Tensor, GateBatch]:
@@ -336,12 +318,18 @@ class AdaptedLinear:
         gate = self.router.gate(x, record)
         dropped = dropout_positions((x.shape[0], self.router.k, self.in_dim),
                                     self.dropout_rate, rng)
-        return stacked_lora(x, self.frozen.data, gate, self.experts, dropped,
-                            self.dropout_rate, self.scale, record), gate
+        return stacked_lora(x, self.frozen.data, gate, self.in_factors, self.out_factors,
+                            dropped, self.dropout_rate, self.scale, record), gate
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        """The frozen weight, the router and each expert's two factor views."""
         params = {f"{prefix}frozen": self.frozen, f"{prefix}router": self.router.weight}
         for i, e in enumerate(self.experts):
             params[f"{prefix}expert{i}.out_factor"] = e.out_factor
             params[f"{prefix}expert{i}.in_factor"] = e.in_factor
         return params
+
+    def trainable_parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        """What gradients reach and the optimizer updates: the router and factors."""
+        return {f"{prefix}router": self.router.weight, f"{prefix}out_factors": self.out_factors,
+                f"{prefix}in_factors": self.in_factors}

@@ -1,7 +1,8 @@
 """Binary checkpoint format: the trained adapters and routers, bit-exact.
 
 The frozen base regenerates from the config's seed, so only the trainable
-parameters (router weights and expert factors) are stored. Layout: an 8-byte
+entries of `named_parameters()` (router weights and each expert's factor
+views) are stored. Layout: an 8-byte
 magic, a little-endian u32 format version, a little-endian u64 header length,
 a JSON header (config echo with the seed, step, SHA-256 of the regenerated
 base, trainable parameter names and shapes in order), then the raw trainable
@@ -92,7 +93,7 @@ def atomic_write(path, mode: str = "w", **kwargs):
 def save(model: AdaptedModel, path) -> None:
     """Write the trainable parameters and the base digest to `path`,
     atomically (:func:`atomic_write`)."""
-    params = model.trainable_parameters()
+    params = {name: p for name, p in model.named_parameters().items() if p.requires_grad}
     header = {
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
@@ -161,7 +162,7 @@ def load(path, config: ToyTransformerConfig | None = None) -> AdaptedModel:
             except (TypeError, ValueError, KeyError) as err:
                 raise CorruptHeaderError(f"invalid stored config: {err}") from err
         model = AdaptedModel(config, draw_adapters=False)
-        params = model.trainable_parameters()
+        params = {name: p for name, p in model.named_parameters().items() if p.requires_grad}
         if [name for name, _ in entries] != list(params.keys()):
             stored = {name for name, _ in entries}
             missing = (sorted(set(params) - stored) + sorted(stored - set(params))

@@ -151,8 +151,8 @@ def _run_dir(resolved: dict) -> Path:
         json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()[:12]
     run_dir = Path(out) / digest
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(resolved, sort_keys=True, indent=2, default=str) + "\n")
+    with atomic_write(run_dir / "config.json") as fh:
+        fh.write(json.dumps(resolved, sort_keys=True, indent=2, default=str) + "\n")
     (run_dir / "metrics.csv").write_text(METRICS_HEADER + "\n")
     return run_dir
 
@@ -204,6 +204,8 @@ def cmd_params(args) -> int:
 
 def cmd_train(args) -> int:
     resolved, given, config, run = _resolve(args, TRAIN_DEFAULTS)
+    if resolved["dataset"].startswith("jsonl:") and "data_size" in given:
+        raise UsageError("data_size is not read with a jsonl: dataset: the file is the data")
     # a prompt over max_seq_len fails the forward: the default cutoff shrinks, a given one fails
     if "cutoff_len" not in given:
         resolved["cutoff_len"] = min(resolved["cutoff_len"], config.max_seq_len)
@@ -286,8 +288,8 @@ def cmd_analyze(args) -> int:
         raise UsageError("analyze needs --checkpoint and/or --matrix")
     if args.dataset is not None and not args.checkpoint:
         raise UsageError("--dataset needs --checkpoint: it picks the prompts the model gates")
-    if args.seed is not None and args.dataset is None:
-        raise UsageError("--seed needs --dataset: it seeds the generated prompts")
+    if args.seed is not None and (args.dataset or "jsonl:").startswith("jsonl:"):
+        raise UsageError("--seed needs --dataset of a task kind: it seeds the generated prompts")
     if args.format == "csv" and not args.out:
         raise UsageError("csv output needs --out PATH")
     model = examples = matrix = None

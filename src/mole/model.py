@@ -16,9 +16,9 @@ import numpy as np
 
 from .adapters import (
     ADAPTED_TAGS,
+    EXPERT_INIT_STD,
     AdaptedLinear,
     GateBatch,
-    LoraExpert,
     Router,
     balance_loss_tensor,
 )
@@ -128,14 +128,15 @@ class Block:
             in_dim, out_dim = shapes[tag]
             w0 = rng.child("w0", tag).normal((out_dim, in_dim),
                                              std=1.0 / np.sqrt(in_dim), dtype=dtype)
-            experts = [LoraExpert(in_dim, out_dim, config.rank,
-                                  rng=rng.child("expert", tag, i) if draw_adapters else None,
-                                  dtype=dtype)
-                       for i in range(n)]
+            # expert i's out-factor, column block i, comes from its own stream
+            out_factors = np.concatenate([rng.child("expert", tag, i).normal(
+                (out_dim, config.rank), std=EXPERT_INIT_STD, dtype=dtype) for i in range(n)], 1) \
+                if draw_adapters else np.zeros((out_dim, n * config.rank), dtype=dtype)
+            in_factors = np.zeros((n * config.rank, in_dim), dtype=dtype)
             router = Router(in_dim, n, k, rng=rng.child("router", tag) if draw_adapters else None,
                             dtype=dtype)
-            self.adapted[tag] = AdaptedLinear(w0, experts, router, alpha=config.alpha,
-                                              dropout_rate=config.dropout)
+            self.adapted[tag] = AdaptedLinear(w0, out_factors, in_factors, router,
+                                              alpha=config.alpha, dropout_rate=config.dropout)
 
     def forward(self, x: Tensor, mask: np.ndarray, apply,
                 last: np.ndarray | None = None) -> Tensor:
@@ -217,6 +218,8 @@ class AdaptedModel:
     # -- parameters --------------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
+        """Every parameter by name, each expert's factors as views
+        (`expert{i}.out_factor`): the trainable entries are what a checkpoint stores."""
         params = {"tok_emb": self.tok_emb, "pos_emb": self.pos_emb}
         for j, block in enumerate(self.blocks):
             params.update(block.named_parameters(f"layer{j}"))
@@ -226,7 +229,9 @@ class AdaptedModel:
         return params
 
     def trainable_parameters(self) -> dict[str, Tensor]:
-        return {name: p for name, p in self.named_parameters().items() if p.requires_grad}
+        """What `AdamW` updates: each matrix's router, `out_factors` and `in_factors`."""
+        return {name: p for j, block in enumerate(self.blocks) for tag in ADAPTED_TAGS
+                for name, p in block.adapted[tag].trainable_parameters(f"layer{j}.{tag}.").items()}
 
     def trainable_param_total(self) -> int:
         return sum(p.size for p in self.trainable_parameters().values())
@@ -355,7 +360,7 @@ class AdamW:
     and releases the gradients: every `grad` is None afterwards. Each
     element sees the same expressions, in the same order and roundings, as
     a per-array loop. Build one optimizer per parameter set: a later one
-    repacks the views.
+    repacks the views, and an expert view taken before a packing is stale.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,

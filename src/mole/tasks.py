@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .checkpoint import atomic_write
 from .tensor import Rng
 
 VOCAB_SIZE = 256
@@ -234,7 +235,7 @@ def load_jsonl(path) -> list[Example]:
 
 
 def save_jsonl(examples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for ex in examples:
             record = {"prompt": decode(ex.prompt), "label": chr(ex.label)}
             if ex.choices is not None:

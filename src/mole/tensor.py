@@ -62,9 +62,11 @@ class Tensor:
 
     `data` is a row-major numpy array of 64-bit (or opt-in 32-bit) floats.
     `grad`, when populated, always has the same shape as `data`. Tensors are
-    treated as immutable after construction; the optimizer's packing of leaf
-    `data` into views of one vector and its in-place update of them are the
-    single sanctioned exception.
+    treated as immutable after construction; the single sanctioned exception
+    is trainable storage: the optimizer packs leaf `data` into views of one
+    vector and updates them in place, and an expert's factors
+    (:class:`~mole.adapters.LoraExpert`) are views of its matrix's stacked
+    arrays; a view taken before `AdamW(...)` repacks them is stale.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -497,15 +499,14 @@ def grad_check(f, params: dict[str, Tensor], step: float = 1e-5,
     for name, p in params.items():
         if name not in grads:
             continue
-        flat = p.data.reshape(-1)
         worst_here = 0.0
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
+        for i, at in enumerate(np.ndindex(p.shape)):  # in place, also through a strided view
+            keep = p.data[at]
+            p.data[at] = keep + step
             up = float(f().data)
-            flat[i] = keep - step
+            p.data[at] = keep - step
             down = float(f().data)
-            flat[i] = keep
+            p.data[at] = keep
             if not (np.isfinite(up) and np.isfinite(down)):
                 result.failures.append(f"f() non-finite while perturbing {name}[{i}]")
                 result.passed = False

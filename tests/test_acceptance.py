@@ -36,6 +36,7 @@ from mole.model import AdaptedModel, ToyTransformerConfig
 from mole.tensor import Rng, Tensor, cross_entropy, grad_check, take_rows
 from test_adapters import brute_force_top_k, make_router, softmax_np, top1_balance_loss
 from test_analysis import set_expert
+from test_model import checked_parameters
 
 PAPER_PLANS = {"8642": "triangle", "2468": "inverted_triangle",
                "8228": "hourglass", "5555": "rectangle"}
@@ -111,13 +112,13 @@ def test_gradient_oracle_small_model():
         ce = cross_entropy(take_rows(result.logits.reshape(-1, 16), np.array([3])), labels)
         return ce + result.aux_loss * config.lambda_aux
 
-    result = grad_check(loss, model.named_parameters(), step=1e-5, tolerance=1e-5)
+    result = grad_check(loss, checked_parameters(model), step=1e-5, tolerance=1e-5)
     elapsed = time.perf_counter() - started
     note(4, f"max relative error {result.max_rel_error:.2e} in {elapsed:.1f} s")
     assert result.passed, result.summary()
-    trainable = model.trainable_parameters()
+    assert set(result.per_param) == set(model.trainable_parameters())
     for name, p in model.named_parameters().items():
-        if name not in trainable:
+        if not p.requires_grad:
             assert p.grad is None, f"frozen {name} accumulated a gradient"
     assert elapsed < 30.0
 
@@ -245,11 +246,9 @@ def test_redundancy_properties():
     assert mean_pairwise_distance(layer) == 0.0
 
     # hand case: effective updates [[1,0],[0,0]] vs [[0,0],[0,1]] -> sqrt(2)
-    from mole.adapters import AdaptedLinear, LoraExpert, Router
-    pair = AdaptedLinear(np.zeros((2, 2)),
-                         [LoraExpert.from_factors([[1.0], [0.0]], [[1.0, 0.0]]),
-                          LoraExpert.from_factors([[0.0], [1.0]], [[0.0, 1.0]])],
-                         Router(2, 2, 1), alpha=1.0, dropout_rate=0.0)
+    from mole.adapters import AdaptedLinear, Router
+    pair = AdaptedLinear(np.zeros((2, 2)), np.eye(2), np.eye(2), Router(2, 2, 1),
+                         alpha=1.0, dropout_rate=0.0)
     assert mean_pairwise_distance(pair) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     # three experts: mean over exactly the three pairs, vs a double-loop oracle

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mole.adapters import AdaptedLinear, GateBatch, LoraExpert, Router, balance_loss_tensor
+from mole.adapters import (EXPERT_INIT_STD, AdaptedLinear, GateBatch, Router,
+                           balance_loss_tensor)
 from mole.tensor import Rng, Tensor, cross_entropy
 
 
@@ -107,47 +108,68 @@ class TestRoute:
         assert abs(gate.probs.data.sum() - 1.0) <= 1e-12
 
 
-def expert_update(expert: LoraExpert, x, alpha: float = 1.0) -> np.ndarray:
-    """A one-row forward through a layer whose only expert is `expert`, over a
-    zero frozen weight: the expert's update to the token x."""
-    layer = AdaptedLinear(np.zeros((expert.out_dim, expert.in_dim)), [expert],
-                          Router(expert.in_dim, 1, 1), alpha=alpha, dropout_rate=0.0)
+def expert_layer(out_factor, in_factor, alpha: float = 1.0) -> AdaptedLinear:
+    """A layer whose only expert has the given factors, over a zero frozen weight."""
+    b, a = np.asarray(out_factor, dtype=np.float64), np.asarray(in_factor, dtype=np.float64)
+    return AdaptedLinear(np.zeros((b.shape[0], a.shape[1])), b, a, Router(a.shape[1], 1, 1),
+                         alpha=alpha, dropout_rate=0.0)
+
+
+def expert_update(layer: AdaptedLinear, x) -> np.ndarray:
+    """A one-row forward through a one-expert layer over a zero frozen
+    weight: the expert's update to the token x."""
     return layer.forward(one_token(x))[0].data[0]
+
+
+def expert_grads(layer: AdaptedLinear, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expert i's blocks of the stacked out- and in-factor gradients."""
+    block = slice(i * layer.rank, (i + 1) * layer.rank)
+    return layer.out_factors.grad[:, block], layer.in_factors.grad[block]
+
+
+def checked(layer: AdaptedLinear, **extra) -> dict:
+    """What a gradient check sweeps: the router and the two stacked factor
+    arrays, plus the frozen weight, which must get no gradient."""
+    return {"frozen": layer.frozen, **layer.trainable_parameters(), **extra}
 
 
 class TestExpertDelta:
     def test_fresh_expert_is_noop(self):
-        expert = LoraExpert(6, 4, 2, rng=Rng(0).child("e"))
-        np.testing.assert_array_equal(expert_update(expert, np.ones(6)), np.zeros(4))
+        layer = expert_layer(Rng(0).child("e").normal((4, 2), std=EXPERT_INIT_STD),
+                             np.zeros((2, 6)))
+        np.testing.assert_array_equal(expert_update(layer, np.ones(6)), np.zeros(4))
 
     def test_hand_computed_update(self):
         # rank 1, out_factor [[2],[0]], in_factor [[1,1]], alpha/rank = 1:
         # in.x = 7, out_factor * 7 = [14, 0]
-        expert = LoraExpert.from_factors([[2.0], [0.0]], [[1.0, 1.0]])
+        layer = expert_layer([[2.0], [0.0]], [[1.0, 1.0]])
         x = np.array([3.0, 4.0])
-        np.testing.assert_allclose(expert_update(expert, x), [14.0, 0.0])
-        np.testing.assert_allclose(expert_update(expert, x), reference_update(1.0, expert, x))
+        np.testing.assert_allclose(expert_update(layer, x), [14.0, 0.0])
+        np.testing.assert_allclose(expert_update(layer, x),
+                                   reference_update(1.0, layer.experts[0], x))
 
     def test_doubling_alpha_doubles_output(self):
-        expert = LoraExpert.from_factors([[1.0], [2.0]], [[0.5, -1.0]])
-        one = expert_update(expert, [1.0, 2.0], alpha=1.0)
-        two = expert_update(expert, [1.0, 2.0], alpha=2.0)
+        one = expert_update(expert_layer([[1.0], [2.0]], [[0.5, -1.0]], alpha=1.0), [1.0, 2.0])
+        two = expert_update(expert_layer([[1.0], [2.0]], [[0.5, -1.0]], alpha=2.0), [1.0, 2.0])
         np.testing.assert_allclose(two, 2.0 * one)
 
     def test_rank_bound_enforced(self):
+        # the rank is read off the stacked shapes: 4 rank rows, one expert
         with pytest.raises(ValueError, match="rank"):
-            LoraExpert(4, 4, 4)
+            AdaptedLinear(np.eye(4), np.zeros((4, 4)), np.zeros((4, 4)), Router(4, 1, 1),
+                          alpha=1.0, dropout_rate=0.0)
 
     def test_effective_delta_fresh_and_hand(self):
-        fresh = LoraExpert(3, 3, 1, rng=Rng(1).child("e"))
-        np.testing.assert_array_equal(fresh.effective_delta(), np.zeros((3, 3)))
-        expert = LoraExpert.from_factors([[1.0], [2.0]], [[3.0, 4.0]])
-        np.testing.assert_array_equal(expert.effective_delta(), [[3.0, 4.0], [6.0, 8.0]])
+        fresh = expert_layer(Rng(1).child("e").normal((3, 1)), np.zeros((1, 3)))
+        np.testing.assert_array_equal(fresh.experts[0].effective_delta(), np.zeros((3, 3)))
+        layer = expert_layer([[1.0], [2.0]], [[3.0, 4.0]])
+        np.testing.assert_array_equal(layer.experts[0].effective_delta(),
+                                      [[3.0, 4.0], [6.0, 8.0]])
 
     def test_effective_delta_linear_in_out_factor(self):
         b = [[3.0, 4.0]]
-        d1 = LoraExpert.from_factors([[1.0], [2.0]], b).effective_delta()
-        d2 = LoraExpert.from_factors([[2.0], [4.0]], b).effective_delta()
+        d1 = expert_layer([[1.0], [2.0]], b).experts[0].effective_delta()
+        d2 = expert_layer([[2.0], [4.0]], b).experts[0].effective_delta()
         np.testing.assert_allclose(d2, 2.0 * d1)
 
 
@@ -155,10 +177,12 @@ def make_layer(in_dim, out_dim, num_experts, k, rank=2, seed=0, dropout_rate=0.0
                alpha=4.0):
     rng = Rng(seed)
     w0 = rng.child("w0").normal((out_dim, in_dim))
-    experts = [LoraExpert(in_dim, out_dim, rank, rng=rng.child("expert", i))
-               for i in range(num_experts)]
+    out_factors = np.concatenate([rng.child("expert", i).normal((out_dim, rank),
+                                                                std=EXPERT_INIT_STD)
+                                  for i in range(num_experts)], axis=1)
     router = Router(in_dim, num_experts, k, rng=rng.child("router"))
-    return AdaptedLinear(w0, experts, router, alpha=alpha, dropout_rate=dropout_rate)
+    return AdaptedLinear(w0, out_factors, np.zeros((num_experts * rank, in_dim)), router,
+                         alpha=alpha, dropout_rate=dropout_rate)
 
 
 def randomize_adapters(layer: AdaptedLinear, seed: int, std: float = 0.3) -> None:
@@ -210,12 +234,13 @@ class TestAdaptedLinear:
         selected = {int(i) for i in gate.selected[0]}
         loss = (out * out).sum()
         loss.backward()
-        for i, e in enumerate(layer.experts):
+        for i in range(3):
+            out_grad, in_grad = expert_grads(layer, i)
             if i in selected:
-                assert e.out_factor.grad is not None and np.any(e.out_factor.grad)
+                assert np.any(out_grad)
             else:
-                assert e.out_factor.grad is None or not np.any(e.out_factor.grad)
-                assert e.in_factor.grad is None or not np.any(e.in_factor.grad)
+                np.testing.assert_array_equal(out_grad, 0.0)
+                np.testing.assert_array_equal(in_grad, 0.0)
         assert layer.router.weight.grad is not None
         assert layer.frozen.grad is None
 
@@ -249,31 +274,32 @@ class TestAdaptedLinear:
         out, gate = layer.forward(Tensor(Rng(59).normal((4, 6))), rng=Rng(60))
         np.testing.assert_array_equal(gate.weights, 0.5)
         (out * Tensor(Rng(61).normal(out.shape))).sum().backward()
-        assert np.any(np.abs(first.in_factor.grad - twin.in_factor.grad) > 1e-6)
+        assert np.any(np.abs(expert_grads(layer, 0)[1] - expert_grads(layer, 1)[1]) > 1e-6)
 
     def test_scale_is_alpha_over_rank(self):
         layer = make_layer(6, 5, num_experts=2, k=1, rank=4, alpha=6.0, dropout_rate=0.25)
         assert (layer.scale, layer.dropout_rate) == (1.5, 0.25)
 
-    @pytest.mark.parametrize("frozen, expert_shapes, router_dims, settings, match", [
-        (np.ones(4), [(4, 2)] * 2, (4, 2), {}, "2-d"),
-        (np.eye(4), [(5, 2)], (4, 1), {}, "expert dims"),
-        (np.eye(4), [(4, 2)] * 2, (4, 3), {}, "router expects 3 experts"),
-        (np.eye(4), [(4, 2)] * 2, (5, 2), {}, "router input dim 5"),
-        (np.eye(4), [(4, 1), (4, 2)], (4, 2), {}, "share one rank"),
-        (np.eye(4), [(4, 2)] * 2, (4, 2), {"alpha": 0.0}, "alpha"),
-        (np.eye(4), [(4, 2)] * 2, (4, 2), {"alpha": float("inf")}, "alpha"),
-        (np.eye(4), [(4, 2)] * 2, (4, 2), {"alpha": float("nan")}, "alpha"),
-        (np.eye(4), [(4, 2)] * 2, (4, 2), {"dropout_rate": 1.0}, "dropout_rate"),
-        (np.eye(4), [(4, 2)] * 2, (4, 2), {"dropout_rate": float("nan")}, "dropout_rate"),
+    @pytest.mark.parametrize("frozen, factor_shapes, router_dims, settings, match", [
+        (np.ones(4), [(4, 4), (4, 4)], (4, 2), {}, "2-d"),
+        (np.eye(4), [(5, 2), (2, 4)], (4, 1), {}, "expert dims"),
+        (np.eye(4), [(4, 4), (4, 4)], (4, 3), {}, "router's 3 experts"),
+        (np.eye(4), [(4, 4), (4, 4)], (5, 2), {}, "router input dim 5"),
+        (np.eye(4), [(4, 3), (4, 4)], (4, 2), {}, r"\(4, 3\), \(4, 4\)"),
+        (np.eye(4), [(4, 4), (4, 4)], (4, 2), {"alpha": 0.0}, "alpha"),
+        (np.eye(4), [(4, 4), (4, 4)], (4, 2), {"alpha": float("inf")}, "alpha"),
+        (np.eye(4), [(4, 4), (4, 4)], (4, 2), {"alpha": float("nan")}, "alpha"),
+        (np.eye(4), [(4, 4), (4, 4)], (4, 2), {"dropout_rate": 1.0}, "dropout_rate"),
+        (np.eye(4), [(4, 4), (4, 4)], (4, 2), {"dropout_rate": float("nan")}, "dropout_rate"),
     ], ids=["frozen-1d", "expert-dims", "router-experts", "router-in-dim", "ranks",
             "alpha-zero", "alpha-inf", "alpha-nan", "dropout-one", "dropout-nan"])
-    def test_constructor_checks(self, frozen, expert_shapes, router_dims, settings, match):
-        # alpha and the dropout rate are the matrix's, given once; the experts
-        # bring only factors, whose ranks must agree
-        experts = [LoraExpert(4, out, rank) for out, rank in expert_shapes]
+    def test_constructor_checks(self, frozen, factor_shapes, router_dims, settings, match):
+        # alpha and the dropout rate are the matrix's, given once; the stacked
+        # factors must fit the frozen weight and hold the router's N experts
+        # of one rank
+        out_factors, in_factors = (np.zeros(shape) for shape in factor_shapes)
         with pytest.raises(ValueError, match=match):
-            AdaptedLinear(frozen, experts, Router(*router_dims, 1),
+            AdaptedLinear(frozen, out_factors, in_factors, Router(*router_dims, 1),
                           **{"alpha": 1.0, "dropout_rate": 0.0, **settings})
 
     def test_dropout_off_at_eval_keeps_identity_exact(self):
@@ -357,10 +383,10 @@ def test_full_adapted_layer_grad_check(num_experts, k):
         out, gate = layer.forward(x, rng=Rng(74).child("drop"))
         return cross_entropy(out, targets) + 0.01 * balance_loss_tensor([gate])
 
-    params = dict(layer.named_parameters(), x=x)
-    result = grad_check(f, params, step=1e-5, tolerance=1e-5)
+    result = grad_check(f, checked(layer, x=x), step=1e-5, tolerance=1e-5)
     assert result.passed, result.summary()
-    assert "frozen" in result.frozen_params
+    assert result.frozen_params == ["frozen"]
+    assert set(result.per_param) == {"router", "out_factors", "in_factors", "x"}
     assert np.any(x.grad)
 
 
@@ -404,7 +430,7 @@ def test_grad_check_catches_a_wrong_dropout_backward(monkeypatch, mutation):
         out, gate = layer.forward(x, rng=Rng(74).child("drop"))
         return cross_entropy(out, targets) + 0.01 * balance_loss_tensor([gate])
 
-    result = grad_check(f, dict(layer.named_parameters(), x=x), step=1e-5, tolerance=1e-5)
+    result = grad_check(f, checked(layer, x=x), step=1e-5, tolerance=1e-5)
     assert result.passed is (mutation is None), result.summary()
 
 
@@ -429,12 +455,13 @@ def test_adapted_layer_grad_check_tied_router_logits():
     _, gate = layer.forward(x)
     np.testing.assert_array_equal(gate.selected, [[0, 1]] * 3)
     np.testing.assert_array_equal(gate.weights, [[0.5, 0.5]] * 3)
-    params = {name: p for name, p in layer.named_parameters().items() if name != "router"}
-    result = grad_check(f, dict(params, x=x), step=1e-5, tolerance=1e-5)
+    params = {name: p for name, p in checked(layer, x=x).items() if name != "router"}
+    result = grad_check(f, params, step=1e-5, tolerance=1e-5)
     assert result.passed, result.summary()
-    for e in layer.experts[2:]:
-        np.testing.assert_array_equal(e.in_factor.grad, 0.0)
-        np.testing.assert_array_equal(e.out_factor.grad, 0.0)
+    assert set(result.per_param) == {"out_factors", "in_factors", "x"}
+    for i in (2, 3):
+        for grad in expert_grads(layer, i):
+            np.testing.assert_array_equal(grad, 0.0)
 
 
 def test_adapted_layer_grad_check_at_cli_dims():
@@ -457,11 +484,12 @@ def test_adapted_layer_grad_check_at_cli_dims():
     _, gate = layer.forward(x)
     unselected = sorted(set(range(8)) - set(gate.selected.reshape(-1).tolist()))
     assert unselected
-    result = grad_check(f, dict(layer.named_parameters(), x=x), step=1e-5, tolerance=1e-5)
+    result = grad_check(f, checked(layer, x=x), step=1e-5, tolerance=1e-5)
     assert result.passed, result.summary()
+    assert set(result.per_param) == {"router", "out_factors", "in_factors", "x"}
     for i in unselected:
-        np.testing.assert_array_equal(layer.experts[i].in_factor.grad, 0.0)
-        np.testing.assert_array_equal(layer.experts[i].out_factor.grad, 0.0)
+        for grad in expert_grads(layer, i):
+            np.testing.assert_array_equal(grad, 0.0)
 
 
 @pytest.mark.parametrize("num_experts, k", [(2, 2), (8, 1), (8, 2)])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_tables import DOMAINS, EXPECTED, TABLES, matrix_rows
-from mole.adapters import LoraExpert
+from mole.adapters import AdaptedLinear, LoraExpert, Router
 from mole.allocation import AllocationPlan
 from mole.analysis import (
     AccuracyMatrix,
@@ -119,11 +119,9 @@ class TestRedundancy:
 
     def test_hand_computed_two_expert_case(self):
         # effective updates [[1,0],[0,0]] and [[0,0],[0,1]] -> distance sqrt(2)
-        a = LoraExpert.from_factors([[1.0], [0.0]], [[1.0, 0.0]])
-        b = LoraExpert.from_factors([[0.0], [1.0]], [[0.0, 1.0]])
-        from mole.adapters import AdaptedLinear, Router
-        layer = AdaptedLinear(np.zeros((2, 2)), [a, b], Router(2, 2, 1), alpha=1.0,
-                              dropout_rate=0.0)
+        # rank 1: expert i's factors are column i and row i of the identity
+        layer = AdaptedLinear(np.zeros((2, 2)), np.eye(2), np.eye(2), Router(2, 2, 1),
+                              alpha=1.0, dropout_rate=0.0)
         assert mean_pairwise_distance(layer) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_three_experts_mean_over_three_pairs(self):
@@ -146,7 +144,11 @@ class TestRedundancy:
             set_expert(e, rng.child("a", i).normal(e.out_factor.shape),
                        rng.child("b", i).normal(e.in_factor.shape))
         base = mean_pairwise_distance(layer)
-        layer.experts[:] = [layer.experts[2], layer.experts[0], layer.experts[1]]
+        deltas = [e.effective_delta() for e in layer.experts]
+        rows = np.concatenate([np.arange(i * 2, i * 2 + 2) for i in (2, 0, 1)])  # rank 2
+        layer.in_factors.data[:] = layer.in_factors.data[rows]
+        layer.out_factors.data[:] = layer.out_factors.data[:, rows]
+        np.testing.assert_array_equal(layer.experts[0].effective_delta(), deltas[2])
         assert mean_pairwise_distance(layer) == pytest.approx(base, abs=1e-12)
         for e in layer.experts:
             e.out_factor.data *= 3.0

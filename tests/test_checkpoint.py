@@ -1,11 +1,15 @@
 """Checkpoint format: bit-exact round trips and categorized corruption errors."""
 
+import errno
 import json
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import mole.checkpoint
+from mole.adapters import ADAPTED_TAGS
 from mole.allocation import AllocationPlan
 from mole.checkpoint import (
     FORMAT_VERSION,
@@ -119,8 +123,14 @@ class TestSharedBase:
         save(trained_model(steps=1), path)
         save(AdaptedModel.build(small_config(seed=9)), other_path)
         held, other = load(path), load(other_path)
-        held_ids = {id(p.data) for p in held.named_parameters().values()}
-        assert not any(id(p.data) in held_ids for p in other.named_parameters().values())
+
+        def arrays(model):
+            """Every array the model owns: its frozen base and its stacked tensors."""
+            frozen = [p.data for p in model.named_parameters().values() if not p.requires_grad]
+            return frozen + [p.data for p in model.trainable_parameters().values()]
+
+        held_arrays = arrays(held)
+        assert not any(np.shares_memory(a, b) for a in arrays(other) for b in held_arrays)
         with pytest.raises(BaseMismatchError):
             load(path, config=small_config(seed=9))
 
@@ -152,8 +162,37 @@ class TestAdapterOnly:
         path = tmp_path / "model.ckpt"
         save(model, path)
         header, blobs = read_header(path)
-        assert [e["name"] for e in header["params"]] == list(model.trainable_parameters())
+        # each matrix's router, then every expert's two factors, as before the
+        # factors were stored stacked
+        names, shapes = [], []
+        for j, block in enumerate(model.blocks):
+            for tag in ADAPTED_TAGS:
+                layer = block.adapted[tag]
+                names.append(f"layer{j}.{tag}.router")
+                shapes.append([layer.in_dim, 2])
+                for i in range(2):
+                    names += [f"layer{j}.{tag}.expert{i}.out_factor",
+                              f"layer{j}.{tag}.expert{i}.in_factor"]
+                    shapes += [[layer.out_dim, 2], [2, layer.in_dim]]
+        assert [e["name"] for e in header["params"]] == names
+        assert [e["shape"] for e in header["params"]] == shapes
         assert path.stat().st_size == blobs + 8 * model.trainable_param_total()
+
+    def test_a_write_through_an_expert_view_reaches_forward_and_file(self, tmp_path):
+        model = trained_model(steps=1)
+        ids = [5, 99, 3, 61]
+        before = model.forward(ids).logits.data.copy()
+        save(model, tmp_path / "before.ckpt")
+        expert = model.blocks[1].adapted["v"].experts[1]
+        expert.out_factor.data[0, 0] += 0.5
+        expert.in_factor.data[1, 2] += 0.5
+        assert np.any(model.forward(ids).logits.data != before)
+        save(model, tmp_path / "after.ckpt")
+        old, new = ((tmp_path / name).read_bytes() for name in ("before.ckpt", "after.ckpt"))
+        assert len(old) == len(new) and old != new
+        restored = load(tmp_path / "after.ckpt").blocks[1].adapted["v"].experts[1]
+        assert restored.out_factor.data[0, 0] == expert.out_factor.data[0, 0]
+        assert restored.in_factor.data[1, 2] == expert.in_factor.data[1, 2]
 
     def test_other_seed_is_base_mismatch(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -170,15 +209,33 @@ class TestAdapterOnly:
         with pytest.raises(BaseMismatchError):
             load(path)
 
-    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path):
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
         model = trained_model(steps=1)
         path = tmp_path / "model.ckpt"
         save(model, path)
         earlier = path.read_bytes()
+        real_atomic_write = mole.checkpoint.atomic_write
+
+        class FullDisk:
+            """A file that takes `room` bytes and then fails as a full disk does."""
+
+            def __init__(self, fh, room):
+                self.fh, self.room = fh, room
+
+            def write(self, data):
+                self.room -= memoryview(data).nbytes
+                if self.room < 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        @contextmanager
+        def one_byte_short(target, mode="w", **kwargs):
+            with real_atomic_write(target, mode, **kwargs) as fh:
+                yield FullDisk(fh, len(earlier) - 1)
+
         # the last trainable blob cannot be written, so the save fails part-way
-        victim = list(model.trainable_parameters().values())[-1]
-        victim.data = np.full(victim.shape, "not a float", dtype=object)
-        with pytest.raises(ValueError):
+        monkeypatch.setattr(mole.checkpoint, "atomic_write", one_byte_short)
+        with pytest.raises(OSError, match="No space"):
             save(model, path)
         assert path.read_bytes() == earlier
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

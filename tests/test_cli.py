@@ -73,8 +73,14 @@ def train_args(tmp_path, **over):
     args.update(over)
     argv = ["train"]
     for key, value in args.items():
-        argv += [f"--{key.replace('_', '-')}", value]
+        if value is not None:       # None leaves the flag out
+            argv += [f"--{key.replace('_', '-')}", value]
     return argv
+
+
+def jsonl_args(tmp_path, data, **over):
+    """`train_args` on the JSONL file `data`, which takes no data_size."""
+    return train_args(tmp_path, data_size=None, dataset=f"jsonl:{data}", **over)
 
 
 class TestTrain:
@@ -215,7 +221,7 @@ class TestTrain:
     def test_unusable_dataset_rejected(self, tmp_path, capsys):
         assert run_cli(*train_args(tmp_path, dataset="sorting")) == 1
         assert "unknown dataset spec 'sorting'" in capsys.readouterr().err
-        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{tmp_path / 'absent.jsonl'}")) == 1
+        assert run_cli(*jsonl_args(tmp_path, tmp_path / "absent.jsonl")) == 1
         assert "cannot read dataset" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
@@ -286,17 +292,33 @@ class TestTrain:
         lines = [json.dumps({"prompt": f"{c}x=", "label": c, "choices": ["a", "b"]})
                  for c in "ab" * 4]
         data.write_text("\n".join(lines) + "\n")
-        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="3")) == 0
+        assert run_cli(*jsonl_args(tmp_path, data, steps="3")) == 0
         # prompts of two lengths: each step groups its batch by length
         mixed = tmp_path / "mixed.jsonl"
         mixed.write_text("".join(json.dumps({"prompt": p, "label": p[0]}) + "\n"
                                  for p in ("ab=", "abcd=", "b=", "bcde=")))
         for out in ("a", "b"):
-            assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{mixed}", steps="3",
+            assert run_cli(*jsonl_args(tmp_path, mixed, steps="3",
                                        seed="1", out=str(tmp_path / out))) == 0
         for name in ("metrics.csv", "model.ckpt"):
             a, b = (next((tmp_path / out).iterdir()) / name for out in ("a", "b"))
             assert a.read_bytes() == b.read_bytes(), name
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_jsonl_dataset_refuses_a_data_size(self, tmp_path, capsys, source):
+        # the file is the data: a size would change only the run directory's name
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"prompt": "ax=", "label": "a"}) + "\n")
+        argv = jsonl_args(tmp_path, data, steps="1")
+        if source == "flag":
+            argv += ["--data-size", "5000"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("data_size = 5000\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 1
+        assert "data_size" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_jsonl_lines_evaluated_once_per_logged_row(self, tmp_path, monkeypatch):
         # a JSONL file is both splits: each row evaluates it once and logs
@@ -314,7 +336,7 @@ class TestTrain:
         data = tmp_path / "data.jsonl"
         data.write_text("".join(json.dumps({"prompt": f"{c}x=", "label": c}) + "\n"
                                 for c in "ab" * 3))
-        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2",
+        assert run_cli(*jsonl_args(tmp_path, data, steps="2",
                                    **{"metrics-every": "1"})) == 0
         assert calls == [6, 6]
         run_dir = next((tmp_path / "runs").iterdir())
@@ -326,14 +348,14 @@ class TestTrain:
     def test_empty_jsonl_prompt_rejected_before_the_run(self, tmp_path, capsys):
         data = tmp_path / "empty_prompt.jsonl"
         data.write_text('{"prompt": "", "label": "a"}\n{"prompt": "ab=", "label": "b"}\n')
-        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2")) == 1
+        assert run_cli(*jsonl_args(tmp_path, data, steps="2")) == 1
         assert "line 1" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_jsonl_label_outside_the_vocabulary_rejected_before_the_run(self, tmp_path, capsys):
         data = tmp_path / "euro_label.jsonl"
         data.write_text('{"prompt": "ab=", "label": "\\u20ac"}\n')
-        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", seed="1", steps="2",
+        assert run_cli(*jsonl_args(tmp_path, data, seed="1", steps="2",
                                    batch_size="2")) == 1
         assert "line 1: " in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
@@ -341,7 +363,7 @@ class TestTrain:
     def test_non_string_jsonl_prompt_rejected_before_the_run(self, tmp_path, capsys):
         data = tmp_path / "int_prompt.jsonl"
         data.write_text('{"prompt": "ab=", "label": "b"}\n{"prompt": 5, "label": "a"}\n')
-        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2")) == 1
+        assert run_cli(*jsonl_args(tmp_path, data, steps="2")) == 1
         assert "line 2: prompt must be a string" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
@@ -441,6 +463,15 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert "--seed needs --dataset" in captured.err and captured.out == ""
 
+    def test_seed_with_a_jsonl_dataset_is_usage_error(self, init_ckpt, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"prompt": "ax=", "label": "a"}) + "\n")
+        capsys.readouterr()
+        assert run_cli("analyze", "--checkpoint", str(init_ckpt), "--dataset", f"jsonl:{data}",
+                       "--seed", "99") == 1
+        captured = capsys.readouterr()
+        assert "--seed needs --dataset of a task kind" in captured.err and captured.out == ""
+
     def test_missing_matrix_clean_error(self, tmp_path, capsys):
         assert run_cli("analyze", "--matrix", str(tmp_path / "no.csv")) == 1
         assert "matrix file not found" in capsys.readouterr().err
@@ -496,7 +527,7 @@ class TestAnalyze:
         lines = [json.dumps({"prompt": "x" * 90 + f"{c}=", "label": c})
                  for c in "ab" * 3]
         data.write_text("\n".join(lines) + "\n")
-        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2",
+        assert run_cli(*jsonl_args(tmp_path, data, steps="2",
                                    **{"cutoff-len": "32"})) == 0
 
     def test_dataset_cut_at_the_checkpoint_max_seq_len(self, tmp_path, capsys):
@@ -505,7 +536,7 @@ class TestAnalyze:
         data = tmp_path / "long.jsonl"
         data.write_text("".join(json.dumps({"prompt": "x" * 19 + f"{c}=", "label": c}) + "\n"
                                 for c in "ab" * 3))
-        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="2",
+        assert run_cli(*jsonl_args(tmp_path, data, steps="2",
                                    **{"max-seq-len": "16"})) == 0
         ckpt = next((tmp_path / "runs").iterdir()) / "model.ckpt"
         capsys.readouterr()
@@ -521,7 +552,7 @@ class TestAnalyze:
         data = tmp_path / "data.jsonl"
         data.write_text("".join(json.dumps({"prompt": "x" * 14 + f"{c}=", "label": c}) + "\n"
                                 for c in "ab" * 3))
-        assert run_cli(*train_args(tmp_path, dataset=f"jsonl:{data}", steps="0")) == 0
+        assert run_cli(*jsonl_args(tmp_path, data, steps="0")) == 0
         ckpt = next((tmp_path / "runs").iterdir()) / "model.ckpt"
         capsys.readouterr()
         assert run_cli("analyze", "--checkpoint", str(ckpt), "--dataset", f"jsonl:{data}") == 0

@@ -41,6 +41,13 @@ def tiny_config(**overrides):
     return ToyTransformerConfig(**base)
 
 
+def checked_parameters(model: AdaptedModel) -> dict[str, Tensor]:
+    """What a gradient check sweeps: the stacked tensors the optimizer
+    updates, plus the frozen base, which must get no gradient."""
+    frozen = {name: p for name, p in model.named_parameters().items() if not p.requires_grad}
+    return {**frozen, **model.trainable_parameters()}
+
+
 def randomize_adapters(model: AdaptedModel, seed: int, std: float = 0.2) -> None:
     rng = Rng(seed).child("randomize")
     for name, p in model.trainable_parameters().items():
@@ -156,8 +163,32 @@ class TestBuild:
         model = AdaptedModel.build(cfg)
         expected = trainable_param_count(cfg.allocation, cfg.dims())
         assert model.trainable_param_total() == expected
-        for name, p in model.trainable_parameters().items():
-            assert ("router" in name) or ("factor" in name), name
+        # three tensors per matrix: its router and its two stacked factor arrays
+        params = model.trainable_parameters()
+        assert len(params) == 3 * 7 * cfg.num_layers
+        for j, block in enumerate(model.blocks):
+            for tag, layer in block.adapted.items():
+                n, in_dim, out_dim = layer.router.num_experts, layer.in_dim, layer.out_dim
+                assert params[f"layer{j}.{tag}.router"] is layer.router.weight
+                assert params[f"layer{j}.{tag}.out_factors"].shape == (out_dim, n * cfg.rank)
+                assert params[f"layer{j}.{tag}.in_factors"].shape == (n * cfg.rank, in_dim)
+
+    def test_expert_views_taken_after_the_optimizer_see_its_step(self):
+        model = AdaptedModel.build(tiny_config(dropout=0.05))
+        layer = model.blocks[1].adapted["up"]
+        before = layer.experts[1]
+        opt = AdamW(model.trainable_parameters(), lr=1e-2)
+        after = layer.experts[1]
+        task = generate_task("modular_add", 10, seed=24)
+        train_step(model, task.train[:4], opt, Rng(25))
+        rows = slice(layer.rank, 2 * layer.rank)
+        assert np.any(after.in_factor.data)       # the in-factors start at zero
+        assert np.shares_memory(after.in_factor.data, opt.flat)
+        np.testing.assert_array_equal(after.in_factor.data, layer.in_factors.data[rows])
+        np.testing.assert_array_equal(after.out_factor.data, layer.out_factors.data[:, rows])
+        # a view taken before AdamW packed the storage reads the old arrays
+        assert not np.shares_memory(before.in_factor.data, opt.flat)
+        np.testing.assert_array_equal(before.in_factor.data, 0.0)
 
 
 class TestForward:
@@ -185,8 +216,15 @@ class TestForward:
         perm = [2, 0, 1]
         for block in model.blocks:
             for tag, layer in block.adapted.items():
-                layer.experts[:] = [layer.experts[i] for i in perm]
+                deltas = [e.effective_delta() for e in layer.experts]
+                # expert i's rank rows, in the new order: row blocks of the
+                # in-factors, column blocks of the out-factors
+                rows = np.concatenate([np.arange(i * cfg.rank, (i + 1) * cfg.rank) for i in perm])
+                layer.in_factors.data[:] = layer.in_factors.data[rows]
+                layer.out_factors.data[:] = layer.out_factors.data[:, rows]
                 layer.router.weight.data[:] = layer.router.weight.data[:, perm]
+                for e, i in zip(layer.experts, perm):
+                    np.testing.assert_array_equal(e.effective_delta(), deltas[i])
         after = model.forward(ids).logits.data
         np.testing.assert_allclose(after, before, rtol=1e-12, atol=1e-12)
 
@@ -503,9 +541,10 @@ class TestGradients:
             ce = cross_entropy(take_rows(result.logits.reshape(-1, 16), np.array([2])), labels)
             return ce + result.aux_loss * cfg.lambda_aux
 
-        result = grad_check(f, model.named_parameters(), step=1e-5, tolerance=1e-5)
+        result = grad_check(f, checked_parameters(model), step=1e-5, tolerance=1e-5)
         assert result.passed, result.summary()
         assert set(result.frozen_params) >= {"tok_emb", "head"}
+        assert set(result.per_param) == set(model.trainable_parameters())
 
     def test_two_length_batch_grad_check(self):
         """train_step's gradients on a batch of two prompt lengths, with
@@ -537,9 +576,10 @@ class TestGradients:
                 opt.params[name].grad = grad
             return Tensor(loss)
 
-        result = grad_check(f, model.named_parameters(), step=1e-5, tolerance=1e-5)
+        result = grad_check(f, checked_parameters(model), step=1e-5, tolerance=1e-5)
         assert result.passed, result.summary()
         assert set(result.frozen_params) >= {"tok_emb", "head"}
+        assert set(result.per_param) == set(model.trainable_parameters())
 
 
 class DegenerateModel:

@@ -172,6 +172,17 @@ class TestJsonl:
         save_jsonl(original, path)
         assert load_jsonl(path) == original
 
+    def test_failed_save_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_jsonl(generate_task("copy", 10, seed=18).all_examples, path)
+        earlier = path.read_bytes()
+        # the last example's label is no character, so the write fails part-way
+        examples = generate_task("keyed_lookup", 20, seed=17).all_examples
+        with pytest.raises(ValueError):
+            save_jsonl(examples + [Example(prompt=encode("x="), label=-1)], path)
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
     def test_label_in_choices_enforced(self):
         with pytest.raises(ValueError, match="choices"):
             Example(prompt=encode("x="), label=ord("z"), choices=encode("ab"))

@@ -249,6 +249,17 @@ class TestGradCheck:
         assert "frozen" in result.frozen_params
         assert frozen.grad is None
 
+    def test_strided_view_is_perturbed_in_place(self):
+        # a column block, as an expert's out-factor is of its stacked array:
+        # the loss reads the storage, the view gets no gradient, so the check
+        # must see nonzero differences against a zero gradient and fail
+        storage = np.arange(6.0).reshape(2, 3)
+        view = Tensor(storage[:, 1:], requires_grad=True)
+        result = grad_check(lambda: (Tensor(storage) * Tensor(storage)).sum(), {"view": view})
+        assert not result.passed
+        assert result.per_param["view"] == 1.0
+        np.testing.assert_array_equal(storage, np.arange(6.0).reshape(2, 3))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_reported_with_location(self):
         w = tensor([0.0], requires_grad=True)
