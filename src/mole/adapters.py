@@ -73,9 +73,8 @@ class LoraExpert:
     """Expert i of an adapted matrix, as tensors over numpy views of its
     blocks: `out_factor` (out_dim x rank) and `in_factor` (rank x in_dim).
 
-    A write through them changes the matrix; gradients reach the stacked
-    arrays, not the views. A view taken before `AdamW(...)` repacks the
-    storage still reads the old arrays: it is stale.
+    A write through them changes the matrix, and they always read its
+    current weights; gradients reach the stacked arrays, not the views.
     """
 
     def __init__(self, layer: "AdaptedLinear", index: int):

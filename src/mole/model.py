@@ -352,15 +352,14 @@ class RunConfig:
 class AdamW:
     """Decoupled-weight-decay Adam over the model's trainable parameters.
 
-    At construction the parameters are packed, in dict order, into one
-    contiguous vector `flat`, and each parameter's `data` becomes a view into
-    it, so in-place writes to a parameter reach the vector. `m` and `v` are
-    flat too. A step gathers the gradients once (zeros for a parameter
-    without one), updates everything with whole-vector operations in place,
-    and releases the gradients: every `grad` is None afterwards. Each
-    element sees the same expressions, in the same order and roundings, as
-    a per-array loop. Build one optimizer per parameter set: a later one
-    repacks the views, and an expert view taken before a packing is stale.
+    `m` and `v` are flat vectors over the parameters in dict order. A step
+    gathers the gradients once (zeros for a parameter without one), then the
+    parameters, into vectors it already holds, updates with whole-vector
+    operations, writes each parameter's block back into its `data` in place,
+    and releases the gradients: every `grad` is None afterwards. Each element
+    sees the same expressions, in the same order and roundings, as a
+    per-array loop. A parameter whose `data` is a view of another array (an
+    expert's factors) is refused: its owner's array is the one to update.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -370,20 +369,17 @@ class AdamW:
         for name, p in self.params.items():
             if not p.requires_grad:
                 raise ValueError(f"optimizer given frozen parameter {name}")
+            if p.data.base is not None:
+                raise ValueError(f"optimizer given a view of another array: {name}")
         self.lr = lr
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.flat = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
-        start = 0
-        for p in self.params.values():
-            p.data = self.flat[start:start + p.size].reshape(p.shape)
-            start += p.size
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
-        self._grad = np.empty_like(self.flat)      # the gathered gradient, then scratch
-        self._scratch = np.empty_like(self.flat)
+        self.m = np.concatenate([np.zeros(p.size, p.dtype) for p in self.params.values()])
+        self.v = np.zeros_like(self.m)
+        self._grad = np.empty_like(self.m)      # the gathered gradient, then the parameters
+        self._scratch = np.empty_like(self.m)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -394,8 +390,9 @@ class AdamW:
         b1, b2 = self.betas
         self.t += 1
         grad, s = self._grad, self._scratch
+        params = self.params.values()
         np.concatenate([np.zeros(p.size, dtype=grad.dtype) if p.grad is None
-                        else p.grad.reshape(-1) for p in self.params.values()], out=grad)
+                        else p.grad.reshape(-1) for p in params], out=grad)
         self.zero_grad()
         # m = b1 * m + (1 - b1) * grad
         self.m *= b1
@@ -406,16 +403,20 @@ class AdamW:
         np.multiply(grad, 1 - b2, out=s)
         s *= grad
         self.v += s
-        # flat -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * flat)
+        # p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
         np.divide(self.m, 1 - b1 ** self.t, out=s)
         np.divide(self.v, 1 - b2 ** self.t, out=grad)
         np.sqrt(grad, out=grad)
         grad += self.eps
         s /= grad
-        np.multiply(self.flat, self.weight_decay, out=grad)
+        np.concatenate([p.data.reshape(-1) for p in params], out=grad)
+        grad *= self.weight_decay
         s += grad
         s *= lr
-        self.flat -= s
+        start = 0
+        for p in params:
+            p.data -= s[start:start + p.size].reshape(p.shape)
+            start += p.size
 
 
 @dataclass

@@ -63,10 +63,9 @@ class Tensor:
     `data` is a row-major numpy array of 64-bit (or opt-in 32-bit) floats.
     `grad`, when populated, always has the same shape as `data`. Tensors are
     treated as immutable after construction; the single sanctioned exception
-    is trainable storage: the optimizer packs leaf `data` into views of one
-    vector and updates them in place, and an expert's factors
-    (:class:`~mole.adapters.LoraExpert`) are views of its matrix's stacked
-    arrays; a view taken before `AdamW(...)` repacks them is stale.
+    is that the optimizer updates trainable leaves in place, so a view of one
+    (an expert's factors, :class:`~mole.adapters.LoraExpert`) reads the
+    current weights.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")

@@ -173,22 +173,23 @@ class TestBuild:
                 assert params[f"layer{j}.{tag}.out_factors"].shape == (out_dim, n * cfg.rank)
                 assert params[f"layer{j}.{tag}.in_factors"].shape == (n * cfg.rank, in_dim)
 
-    def test_expert_views_taken_after_the_optimizer_see_its_step(self):
+    def test_expert_views_see_every_step_of_each_optimizer(self):
         model = AdaptedModel.build(tiny_config(dropout=0.05))
         layer = model.blocks[1].adapted["up"]
-        before = layer.experts[1]
-        opt = AdamW(model.trainable_parameters(), lr=1e-2)
-        after = layer.experts[1]
-        task = generate_task("modular_add", 10, seed=24)
-        train_step(model, task.train[:4], opt, Rng(25))
+        view = layer.experts[1]
+        stacked = layer.in_factors.data, layer.out_factors.data
         rows = slice(layer.rank, 2 * layer.rank)
-        assert np.any(after.in_factor.data)       # the in-factors start at zero
-        assert np.shares_memory(after.in_factor.data, opt.flat)
-        np.testing.assert_array_equal(after.in_factor.data, layer.in_factors.data[rows])
-        np.testing.assert_array_equal(after.out_factor.data, layer.out_factors.data[:, rows])
-        # a view taken before AdamW packed the storage reads the old arrays
-        assert not np.shares_memory(before.in_factor.data, opt.flat)
-        np.testing.assert_array_equal(before.in_factor.data, 0.0)
+        task = generate_task("modular_add", 10, seed=24)
+        seen = []
+        for stage in range(2):    # one optimizer per stage, as mole continual builds them
+            opt = AdamW(model.trainable_parameters(), lr=1e-2)
+            train_step(model, task.train[4 * stage:4 * stage + 4], opt, Rng(25 + stage))
+            assert layer.in_factors.data is stacked[0] and layer.out_factors.data is stacked[1]
+            np.testing.assert_array_equal(view.in_factor.data, layer.in_factors.data[rows])
+            np.testing.assert_array_equal(view.out_factor.data, layer.out_factors.data[:, rows])
+            seen.append(view.in_factor.data.copy())
+        assert np.any(seen[0])       # the in-factors start at zero
+        assert np.any(seen[1] != seen[0])
 
 
 class TestForward:
@@ -468,9 +469,8 @@ class TestAdamW:
     def test_packed_step_matches_the_per_array_loop_bitwise(self, dtype):
         ref_params, params = self.params(dtype), self.params(dtype)
         ref = ReferenceAdamW(ref_params, lr=3e-2, weight_decay=0.1)
+        held = {name: p.data for name, p in params.items()}
         opt = AdamW(params, lr=3e-2, weight_decay=0.1)
-        for name, p in params.items():
-            assert p.data.dtype == dtype and np.shares_memory(p.data, opt.flat), name
         for step in range(3):
             for name in params:
                 if name != "none":   # this one never gets a gradient
@@ -479,6 +479,7 @@ class TestAdamW:
             ref.step()
             opt.step()
             for name, p in params.items():
+                assert p.data is held[name] and p.data.dtype == dtype, name   # updated in place
                 np.testing.assert_array_equal(p.data, ref_params[name].data, err_msg=name)
                 assert p.grad is None, name
             for flat, moments in ((opt.m, ref.m), (opt.v, ref.v)):
@@ -488,6 +489,13 @@ class TestAdamW:
     def test_frozen_parameter_rejected(self):
         with pytest.raises(ValueError, match="frozen"):
             AdamW({"w": Tensor(np.zeros(3))}, lr=3e-4)
+
+    def test_expert_view_rejected(self):
+        # the per-expert names are views of the stacked arrays and never get a gradient
+        model = AdaptedModel.build(tiny_config())
+        named = {n: p for n, p in model.named_parameters().items() if p.requires_grad}
+        with pytest.raises(ValueError, match=r"view of another array: layer0\.q\.expert0\.out_factor$"):
+            AdamW(named, lr=1e-2)
 
 
 class TestGraphSize:
