@@ -35,6 +35,11 @@ class AllocationPlan:
         if any(not isinstance(n, int) or n < 0 for n in self.counts):
             raise ValueError(f"expert counts must be non-negative integers, got {self.counts}")
 
+    @classmethod
+    def default(cls, num_layers: int) -> "AllocationPlan":
+        """The library's default plan: two experts in every layer, at the default K."""
+        return cls((2,) * num_layers)
+
     @property
     def num_layers(self) -> int:
         return len(self.counts)
@@ -69,14 +74,6 @@ class ModelDims:
                 ("gate", d, f), ("up", d, f), ("down", f, d))
 
 
-DIMS_PRESETS = {
-    # 7B-class decoder, used for parameter accounting only
-    "llama2-7b": ModelDims(num_layers=32, d_model=4096, d_ffn=11008, rank=8),
-    # desk-scale defaults matching the toy transformer
-    "toy-default": ModelDims(num_layers=4, d_model=64, d_ffn=172, rank=8),
-}
-
-
 def _shape_consistent(shape: str, groups: tuple[int, ...]) -> bool:
     a, b, c, d = groups
     if shape == "rectangle":
@@ -91,7 +88,7 @@ def _shape_consistent(shape: str, groups: tuple[int, ...]) -> bool:
 
 
 def plan_from_shape(shape: str, group_values: tuple[int, int, int, int],
-                    num_layers: int, k: int = 2) -> AllocationPlan:
+                    num_layers: int, k: int = AllocationPlan.k) -> AllocationPlan:
     """Expand a 4-group allocation over `num_layers` layers, lowest layer first.
 
     The layer count must divide into four equal groups; arbitrary per-layer
@@ -149,7 +146,7 @@ def validate(plan: AllocationPlan, dims: ModelDims) -> list[str]:
     return violations
 
 
-def parse_alloc_spec(spec: str, num_layers: int, k: int = 2) -> AllocationPlan:
+def parse_alloc_spec(spec: str, num_layers: int, k: int = AllocationPlan.k) -> AllocationPlan:
     """Parse an allocation string from a CLI or config file.
 
     Accepted forms:

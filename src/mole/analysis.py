@@ -21,7 +21,7 @@ import numpy as np
 
 from .adapters import ADAPTED_TAGS, AdaptedLinear
 from .checkpoint import atomic_write
-from .model import AdaptedModel, length_batches
+from .model import INFERENCE_ROWS, AdaptedModel, length_batches
 
 ATTENTION_TAGS = ("q", "k", "v", "o")
 
@@ -197,9 +197,9 @@ def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
     router in model order, how often each expert is selected and its mean
     fusion weight, from each gate's :meth:`~mole.adapters.GateBatch.tally`.
 
-    One pass of the block trunk per prompt length over every row, recording
-    no graph (`record=False`) and skipping the final norm and head, whose
-    logits it would not read, so each length group's gates are all it keeps."""
+    Passes of the block trunk over at most `INFERENCE_ROWS` rows of one prompt
+    length, recording no graph (`record=False`) and skipping the final norm and
+    head, whose logits it would not read, so each pass's gates are all it keeps."""
     examples = list(examples)
     if not examples:
         raise ValueError("router_stats needs a non-empty dataset")
@@ -207,7 +207,7 @@ def router_stats(model: AdaptedModel, examples) -> list[RouterUsage]:
                                    selection_counts=[0] * layer.router.num_experts,
                                    weight_sums=[0.0] * layer.router.num_experts)
              for j, block in enumerate(model.blocks) for tag, layer in block.adapted.items()}
-    for _, ids in length_batches(examples):
+    for _, ids in length_batches(examples, INFERENCE_ROWS):
         _, gates = model.trunk(ids, record=False)
         for key, gate in gates.items():
             entry = usage[key]

@@ -13,20 +13,19 @@ success, 1 usage or configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .allocation import DIMS_PRESETS, ModelDims, parse_alloc_spec, trainable_param_count, validate
+from .allocation import AllocationPlan, ModelDims, parse_alloc_spec, trainable_param_count, validate
 from .analysis import AccuracyMatrix, build_report, dumps_report, emit_report
 from .checkpoint import CheckpointError, atomic_write, load, save
 from .model import (
+    DIMS_PRESETS,
     METRICS_HEADER,
     PRECISIONS,
     AdaptedModel,
@@ -37,6 +36,7 @@ from .model import (
     fit,
 )
 from .tasks import (
+    DISTINCT_EXAMPLES,
     TASK_KINDS,
     Example,
     TaskData,
@@ -49,8 +49,9 @@ from .tensor import NonFiniteError
 
 # The keys both commands take, with defaults: every field of the two configs
 # but the allocation (given as alloc and k) and the mandatory seed. Each
-# command adds the keys only it reads.
-_SHARED_DEFAULTS = {"alloc": "counts=2,2,2,2", "k": 2, **{
+# command adds the keys only it reads. No alloc means the library's default
+# plan at the run's layer count.
+_SHARED_DEFAULTS = {"alloc": None, "k": AllocationPlan.k, **{
     f.name: f.default for f in (*fields(RunConfig), *fields(ToyTransformerConfig))
     if f.name not in ("allocation", "seed")}}
 TRAIN_DEFAULTS = {"dataset": "copy", "data_size": 200, "cutoff_len": 64, **_SHARED_DEFAULTS}
@@ -89,7 +90,7 @@ def _read_kv_config(path: str) -> dict[str, str]:
 
 
 # The value type of every settings key; keys whose default is None are listed.
-_TYPES = {"epochs": int, "target_acc": float, "seed": int, "out": str, **{
+_TYPES = {"alloc": str, "epochs": int, "target_acc": float, "seed": int, "out": str, **{
     key: type(v) for key, v in (TRAIN_DEFAULTS | CONTINUAL_DEFAULTS).items() if v is not None}}
 _CHOICES = {"eval_split": ("eval", "train", "all"), "precision": tuple(sorted(PRECISIONS))}
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -134,6 +135,9 @@ def _resolve(args, defaults: dict) -> tuple[dict, set, ToyTransformerConfig, Run
             given.add(key)
     if merged.get("seed") is None:
         raise UsageError("a seed is mandatory (--seed or config file)")
+    if merged["alloc"] is None:
+        counts = AllocationPlan.default(merged["num_layers"]).counts
+        merged["alloc"] = "counts=" + ",".join(map(str, counts))
     config = ToyTransformerConfig(
         allocation=parse_alloc_spec(merged["alloc"], merged["num_layers"], k=merged["k"]),
         seed=merged["seed"], **{f.name: merged[f.name] for f in fields(ToyTransformerConfig)
@@ -206,12 +210,16 @@ def cmd_train(args) -> int:
     resolved, given, config, run = _resolve(args, TRAIN_DEFAULTS)
     if resolved["dataset"].startswith("jsonl:") and "data_size" in given:
         raise UsageError("data_size is not read with a jsonl: dataset: the file is the data")
-    # a prompt over max_seq_len fails the forward: the default cutoff shrinks, a given one fails
-    if "cutoff_len" not in given:
-        resolved["cutoff_len"] = min(resolved["cutoff_len"], config.max_seq_len)
-    elif resolved["cutoff_len"] > config.max_seq_len:
-        raise UsageError(f"cutoff_len {resolved['cutoff_len']} exceeds max_seq_len "
-                         f"{config.max_seq_len}")
+    # a prompt over max_seq_len fails the forward, and a task kind has so many distinct
+    # examples: a default above the bound shrinks to it, a given value above it fails
+    for key, bound, what in (
+            ("cutoff_len", config.max_seq_len, "max_seq_len"),
+            ("data_size", DISTINCT_EXAMPLES.get(resolved["dataset"], np.inf), "the count of "
+             f"distinct {resolved['dataset']} examples")):
+        if key not in given:
+            resolved[key] = min(resolved[key], bound)
+        elif resolved[key] > bound:
+            raise UsageError(f"{key} {resolved[key]} exceeds {what}, {bound}")
     task = _load_dataset(resolved["dataset"], resolved["data_size"], config.seed,
                          resolved["cutoff_len"])
     check_vocab(task.all_examples, config.vocab_size)
@@ -233,10 +241,6 @@ def cmd_train(args) -> int:
     print(f"train_accuracy {train_acc!r}")
     print(f"eval_accuracy {eval_acc!r}")
     return 0
-
-
-def _continual_eval_pool(domain: TaskData, split: str):
-    return {"train": domain.train, "all": domain.all_examples}.get(split, domain.eval)
 
 
 def cmd_continual(args) -> int:
@@ -269,7 +273,8 @@ def cmd_continual(args) -> int:
                     # fit measured this pool on these weights
                     values[stage, i] = current[0 if split == "train" else 1]
                 else:
-                    values[stage, i] = evaluate(model, _continual_eval_pool(domains[i], split))
+                    pools = {"train": domains[i].train, "all": domains[i].all_examples}
+                    values[stage, i] = evaluate(model, pools.get(split, domains[i].eval))
             AccuracyMatrix(values, names).to_csv(matrix_path)
     matrix = AccuracyMatrix(values, names)
     report = build_report(model=model, matrix=matrix)
@@ -339,7 +344,7 @@ def build_parser() -> Parser:
     p_params.add_argument("--dims", required=True,
                           help=f"dims preset {sorted(DIMS_PRESETS)} or a key=value file")
     p_params.add_argument("--alloc", required=True)
-    p_params.add_argument("--k", type=int, default=2)
+    p_params.add_argument("--k", type=int, default=AllocationPlan.k)
     p_params.set_defaults(fn=cmd_params)
 
     p_train = sub.add_parser("train", help="train on one dataset")
@@ -361,35 +366,10 @@ def build_parser() -> Parser:
     return parser
 
 
-# glibc's mallopt parameter that sets how much freed memory at the top of the
-# heap stays mapped (and how much more each heap growth asks for)
-_M_TOP_PAD = -2
-_TOP_PAD_BYTES = 64 << 20
-
-
-def _keep_heap_resident() -> None:
-    """Keep 64 MiB of freed heap mapped, on glibc; elsewhere do nothing.
-
-    Inference frees and reallocates arrays of about 1 MB op after op. By
-    default glibc hands each one back to the kernel and the next op faults
-    its pages in again: about 12k minor faults per analysis pass at
-    counts=2,2,2,2, against about 10 with the pad. Only the CLI asks for this;
-    importing mole leaves the process's malloc as it is."""
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
-            return
-    except (AttributeError, ValueError, OSError):
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _keep_heap_resident()
         return args.fn(args)
     except (TrainingDiverged, CheckpointError, NonFiniteError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -68,7 +68,7 @@ class ToyTransformerConfig:
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if self.allocation is None:
-            self.allocation = AllocationPlan((2,) * self.num_layers, k=2)
+            self.allocation = AllocationPlan.default(self.num_layers)
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
         if self.precision not in PRECISIONS:
@@ -95,6 +95,11 @@ class ToyTransformerConfig:
         raw = dict(raw)
         alloc = raw.pop("allocation")
         return cls(allocation=AllocationPlan(tuple(alloc["counts"]), k=alloc["k"]), **raw)
+
+
+# parameter-accounting dims: a 7B-class decoder, and the toy transformer at its defaults
+DIMS_PRESETS = {"llama2-7b": ModelDims(num_layers=32, d_model=4096, d_ffn=11008, rank=8),
+                "toy-default": ToyTransformerConfig(seed=0).dims()}
 
 
 @dataclass
@@ -468,28 +473,37 @@ def train_step(model: AdaptedModel, batch, optimizer: AdamW, rng: Rng,
     return StepStats(total_loss=float(total.data), cross_entropy=ce, aux_loss=aux)
 
 
-def length_batches(examples):
-    """Yield (examples of one prompt length, their token ids), shortest first."""
+# The most rows (prompts x prompt length) a forward of `evaluate` or `router_stats`
+# carries: its temporaries keep one size whatever the corpus, which malloc reuses.
+INFERENCE_ROWS = 384
+
+
+def length_batches(examples, max_rows: int | None = None):
+    """Yield (examples of one prompt length, their token ids), shortest first; with
+    `max_rows`, in blocks of at most that many rows (at least one prompt a block)."""
     by_length: dict[int, list] = {}
     for ex in examples:
         by_length.setdefault(len(ex.prompt), []).append(ex)
-    for _, group in sorted(by_length.items()):
-        yield group, np.array([ex.prompt for ex in group], dtype=np.intp)
+    for length, group in sorted(by_length.items()):
+        size = len(group) if max_rows is None else max(1, max_rows // length)
+        for start in range(0, len(group), size):
+            block = group[start:start + size]
+            yield block, np.array([ex.prompt for ex in block], dtype=np.intp)
 
 
 def evaluate(model: AdaptedModel, examples) -> float:
     """Accuracy of the highest-logit choice at each example's answer position.
 
-    One forward per prompt length, recording no graph and carrying only the
-    answer rows through the last block (`record=False, last_row=True`). This
-    is exact: its logits differ from the full forward's only by BLAS rounding
-    on the smaller shapes, a few 1e-15.
+    Forwards of at most INFERENCE_ROWS rows of one prompt length, recording no
+    graph and carrying only the answer rows through the last block (`record=False,
+    last_row=True`). This is exact: its logits differ from one full forward's
+    only by BLAS rounding on the smaller shapes, a few 1e-15.
     """
     examples = list(examples)
     if not examples:
         raise ValueError("evaluate needs a non-empty dataset")
     correct = 0
-    for group, ids in length_batches(examples):
+    for group, ids in length_batches(examples, INFERENCE_ROWS):
         logits = model.forward(ids, record=False, last_row=True).logits.data[:, -1, :]
         for row, ex in zip(logits, group):
             candidates = np.array(ex.choices or range(len(row)), dtype=np.intp)

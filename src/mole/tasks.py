@@ -9,6 +9,7 @@ the example's answer choices. Generation is fully determined by
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .checkpoint import atomic_write
@@ -25,6 +26,12 @@ PARITY_LENGTH = 8
 LOOKUP_KEYS = "abcdefgh"
 LOOKUP_VALUES = "01234567"
 LOOKUP_PAIRS = 3
+
+# how many distinct examples each task kind has: `generate_task` gives at most that many
+DISTINCT_EXAMPLES = {
+    "copy": len(COPY_ALPHABET) ** COPY_LENGTH, "modular_add": MODULAR_BASE ** 2,
+    "parity": 2 ** PARITY_LENGTH, "keyed_lookup": LOOKUP_PAIRS * len(LOOKUP_VALUES) ** LOOKUP_PAIRS
+    * math.perm(len(LOOKUP_KEYS), LOOKUP_PAIRS)}
 
 DOMAIN_ALPHABET_SIZE = 8
 DOMAIN_PROMPT_LENGTH = 6
@@ -111,7 +118,7 @@ def _gen_modular_add(size: int, rng: Rng) -> list[Example]:
     pairs = [(x, y) for x in range(MODULAR_BASE) for y in range(MODULAR_BASE)]
     order = rng.child("order").permutation(len(pairs))
     out = []
-    for idx in order[: min(size, len(pairs))]:
+    for idx in order[:size]:
         x, y = pairs[idx]
         out.append(_text_example(f"{digits[x]}+{digits[y]}=",
                                  digits[(x + y) % MODULAR_BASE], digits))
@@ -123,7 +130,7 @@ def _gen_parity(size: int, rng: Rng) -> list[Example]:
     universe = 1 << PARITY_LENGTH
     order = rng.child("order").permutation(universe)
     out = []
-    for value in order[: min(size, universe)]:
+    for value in order[:size]:
         bits = format(value, f"0{PARITY_LENGTH}b")
         parity = str(bits.count("1") % 2)
         out.append(_text_example(bits + "=", parity, "01"))
@@ -157,12 +164,12 @@ _GENERATORS = {
 
 
 def generate_task(kind: str, size: int, seed: int) -> TaskData:
-    """Deterministic dataset for one task kind, split 80/20 without overlap."""
+    """min(size, DISTINCT_EXAMPLES[kind]) examples of one kind, split 80/20 without overlap."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown task kind {kind!r}; expected one of {TASK_KINDS}")
     if size < 2:
         raise ValueError(f"size must be at least 2, got {size}")
-    examples = _GENERATORS[kind](size, Rng(seed).child("task", kind))
+    examples = _GENERATORS[kind](min(size, DISTINCT_EXAMPLES[kind]), Rng(seed).child("task", kind))
     return _split(examples, name=kind)
 
 

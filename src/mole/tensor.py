@@ -428,7 +428,7 @@ class Rng:
         return Rng(self.seed, self._path + tuple(_label_word(l) for l in labels))
 
     def normal(self, shape, std: float = 1.0, dtype=np.float64) -> np.ndarray:
-        return (self._gen.standard_normal(size=shape) * std).astype(dtype)
+        return (self._gen.standard_normal(size=shape) * std).astype(dtype, copy=False)
 
     def geometric(self, p: float, size) -> np.ndarray:
         """Trials up to and including the first success, success rate `p`."""

@@ -16,7 +16,6 @@ import pytest
 from conftest import note
 from golden_tables import DOMAINS, EXPECTED, TABLES, matrix_rows
 from mole.allocation import AllocationPlan, plan_from_shape, trainable_param_count
-from mole.allocation import DIMS_PRESETS
 from mole.analysis import (
     AccuracyMatrix,
     mean_pairwise_distance,
@@ -32,7 +31,7 @@ from mole.checkpoint import (
     save,
 )
 from mole.cli import main as cli_main
-from mole.model import AdaptedModel, ToyTransformerConfig
+from mole.model import DIMS_PRESETS, AdaptedModel, ToyTransformerConfig
 from mole.tensor import Rng, Tensor, cross_entropy, grad_check, take_rows
 from test_adapters import brute_force_top_k, make_router, softmax_np, top1_balance_loss
 from test_analysis import set_expert
@@ -189,7 +188,8 @@ def training_runs(tmp_path_factory):
     for task, alloc, tag in TRAIN_MATRIX:
         out = base / f"{task}_{tag}"
         started = time.perf_counter()
-        code = cli_main(["train", "--dataset", task, "--data-size", "200",
+        # the default data_size: 200 copy examples, all 49 modular_add sums
+        code = cli_main(["train", "--dataset", task,
                          "--alloc", alloc, "--k", "1", "--steps", "500",
                          "--target-acc", "0.95", "--seed", "12",
                          "--out", str(out)])
@@ -217,7 +217,7 @@ def test_training_reaches_target(training_runs, task, alloc, tag):
 @pytest.mark.criterion(7, "desk-scale training reaches 95% within budget")
 def test_training_reproducible_byte_for_byte(training_runs, tmp_path):
     task, alloc, tag = TRAIN_MATRIX[2]
-    code = cli_main(["train", "--dataset", task, "--data-size", "200",
+    code = cli_main(["train", "--dataset", task,
                      "--alloc", alloc, "--k", "1", "--steps", "500",
                      "--target-acc", "0.95", "--seed", "12",
                      "--out", str(tmp_path / "repeat")])

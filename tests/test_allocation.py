@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mole.allocation import (
-    DIMS_PRESETS,
     AllocationPlan,
     ModelDims,
     parse_alloc_spec,
@@ -14,6 +13,7 @@ from mole.allocation import (
     trainable_param_count,
     validate,
 )
+from mole.model import DIMS_PRESETS
 
 LLAMA = DIMS_PRESETS["llama2-7b"]
 PAPER_GROUPS = {"triangle": (8, 6, 4, 2), "inverted_triangle": (2, 4, 6, 8),

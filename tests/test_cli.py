@@ -254,6 +254,17 @@ class TestTrain:
         assert load(run_dir / "model.ckpt").config == ToyTransformerConfig(
             allocation=allocation, seed=11)
 
+    def test_default_allocation_follows_the_layer_count(self, tmp_path):
+        # no --alloc: two experts in every layer at the default K, whatever the layer count
+        for layers in ("4", "8"):
+            out = tmp_path / layers
+            assert run_cli("train", "--num-layers", layers, "--steps", "1", "--data-size", "20",
+                           "--seed", "1", "--out", str(out)) == 0
+            run_dir = next(out.iterdir())
+            config = json.loads((run_dir / "config.json").read_text())
+            assert (config["alloc"], config["k"]) == ("counts=" + ",".join(["2"] * int(layers)), 2)
+            assert load(run_dir / "model.ckpt").config.allocation.counts == (2,) * int(layers)
+
     def test_every_settings_key_has_a_flag(self):
         # exactly one flag per key the command reads, plus --seed, --out and
         # --config: a key no command reads has no flag to hide behind
@@ -319,6 +330,18 @@ class TestTrain:
         assert run_cli(*argv) == 1
         assert "data_size" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("dataset, count", [("modular_add", 49), ("parity", 256)])
+    def test_data_size_above_the_distinct_examples(self, tmp_path, capsys, dataset, count):
+        # a given size above the task's distinct examples is refused before
+        # the run directory exists; the default shrinks to the count
+        assert run_cli(*train_args(tmp_path, dataset=dataset, data_size=str(count + 1),
+                                   steps="0")) == 1
+        assert f"data_size {count + 1}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        assert run_cli(*train_args(tmp_path, dataset=dataset, data_size=None, steps="0")) == 0
+        run_dir = next((tmp_path / "runs").iterdir())
+        assert json.loads((run_dir / "config.json").read_text())["data_size"] == min(count, 200)
 
     def test_jsonl_lines_evaluated_once_per_logged_row(self, tmp_path, monkeypatch):
         # a JSONL file is both splits: each row evaluates it once and logs
@@ -559,33 +582,6 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert {entry["tokens"] for entry in report["router_stats"]} == {6 * 16}
 
-class TestHeapPolicy:
-    def test_main_runs_without_mallopt(self, monkeypatch, capsys):
-        import mole.cli
-
-        monkeypatch.setattr(mole.cli.ctypes, "CDLL", lambda name: object())
-        assert run_cli("params", "--dims", "toy-default", "--alloc", "counts=2,2,2,2") == 0
-        assert "trainable_params" in capsys.readouterr().out
-
-    def test_main_pads_the_heap_on_glibc_only(self, monkeypatch):
-        import mole.cli
-
-        calls = []
-
-        class Libc:
-            def mallopt(self, param, value):
-                calls.append((param, value))
-                return 1
-
-        monkeypatch.setattr(mole.cli.ctypes, "CDLL", lambda name: Libc())
-        monkeypatch.setattr(mole.cli.os, "confstr", lambda name: "glibc 2.36")
-        assert run_cli("params", "--dims", "toy-default", "--alloc", "counts=2,2,2,2") == 0
-        assert calls == [(-2, 64 << 20)]   # M_TOP_PAD
-        monkeypatch.setattr(mole.cli.os, "confstr", lambda name: None)
-        assert run_cli("params", "--dims", "toy-default", "--alloc", "counts=2,2,2,2") == 0
-        assert len(calls) == 1
-
-
 class TestContinual:
     def test_identical_domains_flag_repeats_first_domain(self, tmp_path, capsys):
         # same domain twice: the harness runs and reports a drop score
@@ -609,6 +605,14 @@ class TestContinual:
                        "--" + key.replace("_", "-"), value) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    def test_default_allocation_follows_the_layer_count(self, tmp_path):
+        assert run_cli("continual", "--num-layers", "8", "--domains", "2", "--domain-size", "20",
+                       "--steps", "1", "--seed", "7", "--out", str(tmp_path / "c")) == 0
+        run_dir = next((tmp_path / "c").iterdir())
+        config = json.loads((run_dir / "config.json").read_text())
+        assert config["alloc"] == "counts=2,2,2,2,2,2,2,2"
+        assert load(run_dir / "model.ckpt").config.allocation.counts == (2,) * 8
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key, value", [("dataset", "copy"), ("data_size", "40"),

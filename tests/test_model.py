@@ -16,9 +16,11 @@ import pytest
 
 from mole.adapters import balance_loss_tensor
 from mole.allocation import AllocationPlan, parse_alloc_spec, trainable_param_count
+from mole.analysis import router_stats
 from mole.checkpoint import load
 from mole.cli import main
 from mole.model import (
+    INFERENCE_ROWS,
     AdamW,
     AdaptedModel,
     RunConfig,
@@ -705,6 +707,44 @@ class TestInference:
             recorded = model.forward(ids, last_row=True).logits.data
             np.testing.assert_array_equal(
                 model.forward(ids, record=False, last_row=True).logits.data, recorded)
+
+    def test_inference_forwards_stay_within_the_row_bound(self, monkeypatch):
+        """evaluate and router_stats cut each prompt length into forwards of at
+        most INFERENCE_ROWS rows, so no temporary grows with the corpus."""
+        rows = []
+        trunk = AdaptedModel.trunk
+
+        def counted(model, token_ids, *args, **kwargs):
+            rows.append(np.size(token_ids))
+            return trunk(model, token_ids, *args, **kwargs)
+
+        monkeypatch.setattr(AdaptedModel, "trunk", counted)
+        model = AdaptedModel.build(ToyTransformerConfig(seed=70))
+        examples = generate_task("copy", 200, seed=70).all_examples
+        tokens = sum(len(ex.prompt) for ex in examples)
+        for analysis in (evaluate, router_stats):
+            rows.clear()
+            analysis(model, examples)
+            assert sum(rows) == tokens and max(rows) <= INFERENCE_ROWS, (analysis, rows)
+
+    def test_row_blocks_give_the_whole_group_results(self):
+        model = self.inverted_model(72)
+        examples = generate_task("copy", 200, seed=73).all_examples
+        ((group, ids),) = list(length_batches(examples))
+        assert ids.size > 3 * INFERENCE_ROWS
+        logits = model.forward(ids, record=False, last_row=True).logits.data[:, -1, :]
+        correct = sum(int(ex.choices[np.argmax(row[list(ex.choices)])] == ex.label)
+                      for row, ex in zip(logits, group))
+        assert 0 < correct < len(group)
+        assert evaluate(model, examples) == correct / len(group)
+        _, gates = model.trunk(ids, record=False)
+        for usage in router_stats(model, examples):
+            counts, sums = gates[(usage.layer, usage.tag)].tally()
+            assert usage.selection_counts == counts.tolist()
+            # the blocks add in another order: sums in the hundreds move by a few ulp
+            np.testing.assert_allclose(usage.weight_sums, sums, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(usage.mean_selected_weight, sums / counts, rtol=0,
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("last_row", [False, True])
     def test_inference_forward_records_no_graph(self, last_row):
